@@ -3,9 +3,10 @@
 The package simulates an estimation scheme in which the order-alpha
 stabilizer Rényi entropy of a pure state is read off the purity of the state
 obtained by applying every Pauli string, uniformly at random, to alpha copies
-of the input.  It ships an exact oracle, three channel preparations, shot
-level swap-test estimators, the replica-trick observable, and verification
-suites for every identity the construction rests on.
+of the input.  It ships an exact oracle, three channel preparations, a
+swap-test sampler that draws each run from its route's exact purity, the
+replica-trick observable, and verification suites for every identity the
+construction rests on.
 """
 
 __version__ = "0.1.0"
@@ -41,14 +42,11 @@ from .clifford import (
 )
 from .errors import DimensionError, NormalizationError, SizeGuardError
 from .estimation import (
-    IncoherentPairSource,
     ShotBudget,
-    StaticSource,
     copies_required,
     estimate_purity,
     state_overlap,
     swap_test_circuit_p0,
-    swap_test_shot,
 )
 from .oracle import (
     CharacteristicDistribution,
@@ -62,7 +60,14 @@ from .oracle import (
     sre_value,
 )
 from .paulis import PauliString, enumerate_paulis, pauli_from_index, pauli_mul
-from .pipeline import EstimateReport, EstimationRequest, m_from_a, run_estimation
+from .pipeline import (
+    EstimateReport,
+    EstimationRequest,
+    estimate_from_gamma,
+    m_from_a,
+    route_gamma,
+    run_estimation,
+)
 from .states import (
     BipartiteSplit,
     DensityMatrix,

@@ -6,7 +6,7 @@ direct estimators used for sample-complexity comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -14,7 +14,13 @@ from .channels import PreparationMethod, coherent_prepare
 from .errors import SizeGuardError
 from .estimation import ceil_with_guard
 from .oracle import a_alpha_exact, closed_form_a, m_alpha_exact, pauli_expectations
-from .pipeline import EstimateReport, EstimationRequest, m_from_a, run_estimation
+from .pipeline import (
+    EstimateReport,
+    EstimationRequest,
+    estimate_from_gamma,
+    m_from_a,
+    route_gamma,
+)
 from .states import (
     BipartiteSplit,
     StateVector,
@@ -152,22 +158,28 @@ def sweep_theta(
     method: PreparationMethod = PreparationMethod.COHERENT,
     master_seed: int = 0,
 ) -> list[SweepRow]:
-    """One estimation run per (theta, alpha, seed) at the full copy budget."""
+    """One estimation run per (theta, alpha, seed) at the full copy budget.
+
+    The route's gamma is computed once per (theta, alpha); each seed is then
+    one swap-test draw from it, exactly as ``run_estimation`` would make.
+    """
     rows = []
     for alpha in alphas:
         for ti, theta in enumerate(theta_grid):
             exact = closed_form_a(theta, alpha)
+            base = EstimationRequest(
+                state=phase_state(theta),
+                alpha=alpha,
+                epsilon=epsilon,
+                delta=delta,
+                method=method,
+                seed=0,
+                state_spec=f"theta:{theta!r}",
+            )
+            gamma = route_gamma(base)
             for s in range(n_seeds):
-                req = EstimationRequest(
-                    state=phase_state(theta),
-                    alpha=alpha,
-                    epsilon=epsilon,
-                    delta=delta,
-                    method=method,
-                    seed=_task_seed(master_seed, (int(alpha), ti, s)),
-                    state_spec=f"theta:{theta!r}",
-                )
-                rep = run_estimation(req)
+                req = replace(base, seed=_task_seed(master_seed, (int(alpha), ti, s)))
+                rep = estimate_from_gamma(req, gamma)
                 err = abs(rep.a_hat - exact)
                 rows.append(
                     SweepRow(
@@ -204,7 +216,8 @@ def direct_gamma_estimate(
     d = psi.dim
     k = shots_per_string
     means = pauli_expectations(psi) ** (2 * alpha)
-    successes = rng.binomial(k, 0.5 * (1.0 + means))
+    # |<P>| may round above 1; the clip keeps the shot law a distribution
+    successes = rng.binomial(k, np.clip(0.5 * (1.0 + means), 0.0, 1.0))
     per_string = 2.0 * successes / k - 1.0
     a_hat = float(per_string.sum() / d)
     m_hat = m_from_a(a_hat, alpha) if alpha >= 2 and a_hat > 0 else None
@@ -242,7 +255,7 @@ def direct_single_copy_estimate(
         shots_per_string = ceil_with_guard(1.0 / (tau * tau * delta))
     k = shots_per_string
     means = pauli_expectations(psi)
-    successes = rng.binomial(k, 0.5 * (1.0 + means))
+    successes = rng.binomial(k, np.clip(0.5 * (1.0 + means), 0.0, 1.0))
     o_j = 2.0 * successes / k - 1.0
     a_hat = float(np.sum(o_j ** (2 * alpha)) / d)
     m_hat = m_from_a(a_hat, alpha) if alpha >= 2 and a_hat > 0 else None
@@ -282,7 +295,12 @@ def complexity_table(
     delta: float = 0.1,
     master_seed: int = 0,
 ) -> list[ComplexityRow]:
-    """Empirical RMSE of each method at its prescribed budget for the target error."""
+    """Empirical RMSE of each method at its prescribed budget for the target error.
+
+    swap_purity computes its route's gamma once per alpha; each (epsilon,
+    seed) run is then one swap-test draw from it, exactly as
+    ``run_estimation`` would make.
+    """
     known = ("swap_purity", "direct_gamma", "direct_single_copy")
     rows = []
     for method in methods:
@@ -290,6 +308,16 @@ def complexity_table(
             raise ValueError(f"unknown method {method!r}")
         for alpha in alphas:
             exact = a_alpha_exact(state, alpha)
+            if method == "swap_purity":
+                swap = EstimationRequest(
+                    state=state,
+                    alpha=alpha,
+                    epsilon=epsilons[0],
+                    delta=delta,
+                    method=PreparationMethod.COHERENT,
+                    seed=0,
+                )
+                gamma = route_gamma(swap)
             for ei, epsilon in enumerate(epsilons):
                 errs = []
                 copies = 0
@@ -297,16 +325,7 @@ def complexity_table(
                     ts = _task_seed(master_seed, (known.index(method), int(alpha), ei, s))
                     rng = np.random.default_rng(np.random.SeedSequence(ts))
                     if method == "swap_purity":
-                        rep = run_estimation(
-                            EstimationRequest(
-                                state=state,
-                                alpha=alpha,
-                                epsilon=epsilon,
-                                delta=delta,
-                                method=PreparationMethod.COHERENT,
-                                seed=ts,
-                            )
-                        )
+                        rep = estimate_from_gamma(replace(swap, epsilon=epsilon, seed=ts), gamma)
                     elif method == "direct_gamma":
                         k = ceil_with_guard(1.0 / (epsilon * epsilon * delta))
                         rep = direct_gamma_estimate(state, alpha, k, rng, seed=ts)

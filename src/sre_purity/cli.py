@@ -58,6 +58,8 @@ def parse_state_spec(spec: str) -> StateVector:
             with open(rest) as fh:
                 pairs = json.load(fh)
             amps = np.array([complex(re, im) for re, im in pairs])
+            if not np.all(np.isfinite(amps)):
+                raise ValueError("amplitudes must be finite")
             n = int(math.log2(len(amps)))
             if len(amps) != 1 << n:
                 raise ValueError(f"amplitude count {len(amps)} is not a power of two")
@@ -65,6 +67,8 @@ def parse_state_spec(spec: str) -> StateVector:
             if abs(norm_sq - 1.0) > 1e-6:
                 raise ValueError(f"amplitudes have norm^2 {norm_sq!r}, not within 1e-6 of 1")
             return StateVector(n, amps / math.sqrt(norm_sq))
+    except SizeGuardError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad state spec {spec!r}: {exc}") from exc
     raise ValueError(f"bad state spec {spec!r}: unknown kind {kind!r}")

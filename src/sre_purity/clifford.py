@@ -14,6 +14,7 @@ import numpy as np
 
 from .states import (
     StateVector,
+    _check_pure_qubits,
     apply_cnot,
     apply_single_qubit_gate,
     zero_state,
@@ -25,6 +26,7 @@ _S = np.array([[1.0, 0.0], [0.0, 1.0j]])
 
 def haar_random_state(n: int, rng: np.random.Generator) -> StateVector:
     """Normalized vector of iid standard complex Gaussian amplitudes."""
+    _check_pure_qubits(n)
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     return StateVector(n, amps / np.linalg.norm(amps))
 

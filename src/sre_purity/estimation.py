@@ -1,11 +1,14 @@
-"""Swap-test purity estimation at the shot level, plus copy-budget arithmetic.
+"""Swap-test purity estimation, plus copy-budget arithmetic.
 
-Shots are drawn from the exact Bernoulli law P(outcome 0) = (1 + tr[rho sigma])/2
-computed from the two preparations of each shot; the full cSWAP circuit exists
-behind a separate source (validated against the Bernoulli law in tests) rather
-than being simulated per shot.  For the incoherent method each shot draws two
-independent preparations — sharing one drawn string across both would estimate
-a different functional.
+A swap-test shot on two preparations rho and sigma is 0 with probability
+(1 + tr[rho sigma])/2.  Every preparation route has a shot law with the same
+mean gamma, the purity of the channel output: for the exact mixture and the
+coherent marginals both preparations are the same state, and for the
+incoherent method the two independently drawn strings j1 and j2 make j1 ^ j2
+uniform, so a shot is 0 with probability (1 + A_alpha/d)/2.  Shots are iid,
+so a run of shots is one binomial draw from gamma (``estimate_purity``).  The
+explicit cSWAP circuit (``swap_test_circuit_p0``) is kept as a validation
+route for that law.
 """
 
 from __future__ import annotations
@@ -15,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import incoherent_sample
-from .errors import DimensionError
-from .oracle import pauli_expectations
+from .errors import DimensionError, SizeGuardError
 from .states import DensityMatrix, StateVector, hadamard_layer
 
 _CEIL_GUARD = 1e-9
+# numpy draws binomial counts as int64
+MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
 def ceil_with_guard(value: float) -> int:
@@ -65,7 +68,7 @@ def copies_required(alpha: int, d: int, epsilon: float, delta: float) -> ShotBud
 
 
 # ---------------------------------------------------------------------------
-# shot sources
+# swap-test sampling
 
 
 def state_overlap(a, b) -> float:
@@ -79,61 +82,27 @@ def state_overlap(a, b) -> float:
     return float(np.vdot(b.amps, a.mat @ b.amps).real)
 
 
-class StaticSource:
-    """Yields the same (generally mixed) preparation every draw."""
+def estimate_purity(gamma: float, shots: int, rng) -> tuple[float, float]:
+    """Swap-test estimate of a purity ``gamma`` from ``shots`` shots, with its
+    standard error.
 
-    def __init__(self, rho):
-        self.rho = rho
-        self._overlap = state_overlap(rho, rho)
-
-    def draw(self, rng):
-        return self.rho
-
-    def pair_overlap_batch(self, rng, shots: int) -> np.ndarray:
-        return np.full(shots, self._overlap)
-
-
-class IncoherentPairSource:
-    """Two independent incoherent preparations per shot.
-
-    The per-shot Bernoulli parameter is the physical overlap of the two
-    index-free samples; it is looked up through the canonical-index XOR
-    identity instead of re-deriving it from the sampled amplitude vectors.
+    Every shot is 0 with probability (1 + gamma)/2 independently, so the count
+    of zeros is one Binomial(shots, (1 + gamma)/2) draw; the estimate is the
+    mean of the +/-1-mapped outcomes and the standard error is the sample
+    standard deviation of those outcomes over sqrt(shots).
     """
-
-    def __init__(self, psi: StateVector, alpha: int):
-        self.psi = psi
-        self.alpha = alpha
-        self._overlaps = pauli_expectations(psi) ** (2 * alpha)
-
-    def draw(self, rng):
-        return incoherent_sample(self.psi, self.alpha, rng)
-
-    def pair_overlap_batch(self, rng, shots: int) -> np.ndarray:
-        d2 = 4**self.psi.n
-        j1 = rng.integers(0, d2, size=shots)
-        j2 = rng.integers(0, d2, size=shots)
-        return self._overlaps[j1 ^ j2]
-
-
-def swap_test_shot(source, rng) -> int:
-    """One swap-test outcome bit; P(0) = (1 + tr[rho sigma])/2."""
-    ov = state_overlap(source.draw(rng), source.draw(rng))
-    return 0 if rng.random() < 0.5 * (1.0 + ov) else 1
-
-
-def estimate_purity(source, shots: int, rng) -> tuple[float, float]:
-    """Mean of the +/-1-mapped shot outcomes and its standard error."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    if hasattr(source, "pair_overlap_batch"):
-        overlaps = source.pair_overlap_batch(rng, shots)
-        outcomes = np.where(rng.random(shots) < 0.5 * (1.0 + overlaps), 1.0, -1.0)
-    else:
-        outcomes = np.array([1.0 - 2.0 * swap_test_shot(source, rng) for _ in range(shots)])
-    gamma_hat = float(outcomes.mean())
-    stderr = float(outcomes.std(ddof=1) / math.sqrt(shots)) if shots > 1 else float("nan")
-    return gamma_hat, stderr
+    if shots > MAX_SHOTS:
+        raise SizeGuardError(f"{shots} shots exceed the sampler's limit ({MAX_SHOTS})")
+    # a route's purity may round just above 1
+    p0 = min(max(0.5 * (1.0 + gamma), 0.0), 1.0)
+    zeros = int(rng.binomial(shots, p0))
+    gamma_hat = (2 * zeros - shots) / shots
+    if shots == 1:
+        return gamma_hat, float("nan")
+    variance = (1.0 - gamma_hat * gamma_hat) * shots / (shots - 1)
+    return gamma_hat, math.sqrt(variance / shots)
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +144,3 @@ def swap_test_circuit_p0(left: StateVector, right: StateVector, swap_qubits=None
     full = hadamard_layer(full, [anc])
     amps = full.amps.reshape(2, 1 << (2 * m))
     return float(np.vdot(amps[0], amps[0]).real)
-
-
-class FullCircuitPairSource:
-    """Shot source that runs the explicit cSWAP circuit on two drawn preparations."""
-
-    def __init__(self, draw_fn, swap_qubits=None):
-        self.draw_fn = draw_fn
-        self.swap_qubits = swap_qubits
-
-    def pair_overlap_batch(self, rng, shots: int) -> np.ndarray:
-        # p0 = (1 + overlap)/2, so report overlap = 2 p0 - 1 per shot.
-        out = np.empty(shots)
-        for i in range(shots):
-            p0 = swap_test_circuit_p0(self.draw_fn(rng), self.draw_fn(rng), self.swap_qubits)
-            out[i] = 2.0 * p0 - 1.0
-        return out

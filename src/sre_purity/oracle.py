@@ -29,6 +29,8 @@ class CharacteristicDistribution:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
+        if not np.all(np.isfinite(p)):
+            raise NormalizationError("probabilities must be finite")
         if np.any(p < -DIST_TOL):
             raise NormalizationError("negative probability entry")
         if abs(p.sum() - 1.0) > DIST_TOL:

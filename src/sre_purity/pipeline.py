@@ -1,9 +1,12 @@
 """End-to-end estimation: from (state, alpha, epsilon, delta, method, seed)
 to an estimate of A_alpha and M_alpha.
 
-The B-register marginal is the default purity target for the coherent method;
-``marginal="ancilla"`` switches to the ancilla marginal (both encode A_alpha).
-M_alpha is derived from the aggregated a_hat, never per shot.
+Each method is a route to the exact purity gamma of its prepared state
+(``route_gamma``); a run is then one binomial swap-test draw from gamma
+(``estimate_from_gamma``).  The B-register marginal is the default purity
+target for the coherent method; ``marginal="ancilla"`` switches to the
+ancilla marginal (both encode A_alpha).  M_alpha is derived from the
+aggregated a_hat, never per shot.
 """
 
 from __future__ import annotations
@@ -19,16 +22,11 @@ from .channels import (
     coherent_prepare,
     copies_marginal,
     exact_channel_output,
-    incoherent_sample,
 )
-from .estimation import (
-    FullCircuitPairSource,
-    IncoherentPairSource,
-    StaticSource,
-    copies_required,
-    estimate_purity,
-)
-from .states import StateVector, purity
+from .estimation import copies_required, estimate_purity, swap_test_circuit_p0
+from .oracle import a_alpha_exact
+from .paulis import enumerate_paulis
+from .states import StateVector, apply_pauli, purity, tensor_power
 
 
 @dataclass(frozen=True)
@@ -41,7 +39,7 @@ class EstimationRequest:
     seed: int
     state_spec: str = ""
     marginal: str = "copies"  # "copies" or "ancilla"; coherent method only
-    shots: int | None = None  # None: full budget; 0: analytic (no sampling)
+    shots: int | None = None  # None: full budget; 0: the route's exact gamma
     full_circuit: bool = False  # explicit-cSWAP validation route (n=1, alpha=2)
 
     def __post_init__(self):
@@ -86,42 +84,50 @@ def m_from_a(a: float, alpha: int) -> float:
     return math.log(a) / (1 - alpha)
 
 
-def _build_source(req: EstimationRequest):
-    psi, alpha = req.state, req.alpha
+def route_gamma(req: EstimationRequest) -> float:
+    """Exact swap-test mean gamma of the request's preparation route.
+
+    Each route's shots are iid with P(0) = (1 + gamma)/2, so gamma is all a
+    run needs: the exact mixture and the coherent marginals give their
+    purity, the incoherent method gives A_alpha/d (the mean overlap of two
+    independent draws), and ``full_circuit`` reads 2 p0 - 1 off the explicit
+    cSWAP circuit instead, averaged over every pair of incoherent samples.
+    """
+    psi, alpha, n = req.state, req.alpha, req.state.n
     if req.method is PreparationMethod.EXACT_MIXTURE:
-        return StaticSource(exact_channel_output(psi, alpha))
+        return purity(exact_channel_output(psi, alpha))
     if req.method is PreparationMethod.COHERENT:
         prepared = coherent_prepare(psi, alpha)
         if req.full_circuit:
             keep = (
-                range(alpha * psi.n)
+                range(alpha * n)
                 if req.marginal == "copies"
-                else range(alpha * psi.n, (alpha + 2) * psi.n)
+                else range(alpha * n, (alpha + 2) * n)
             )
-            return FullCircuitPairSource(lambda rng: prepared, list(keep))
+            return 2.0 * swap_test_circuit_p0(prepared, prepared, list(keep)) - 1.0
         if req.marginal == "ancilla":
-            return StaticSource(ancilla_marginal_of(prepared, psi.n, alpha))
-        return StaticSource(copies_marginal(prepared, psi.n, alpha))
+            return purity(ancilla_marginal_of(prepared, n, alpha))
+        return purity(copies_marginal(prepared, n, alpha))
     if req.method is PreparationMethod.INCOHERENT:
         if req.full_circuit:
-            return FullCircuitPairSource(lambda rng: incoherent_sample(psi, alpha, rng))
-        return IncoherentPairSource(psi, alpha)
+            samples = [tensor_power(apply_pauli(p, psi), alpha) for p in enumerate_paulis(n)]
+            p0 = [swap_test_circuit_p0(a, b) for a in samples for b in samples]
+            return 2.0 * float(np.mean(p0)) - 1.0
+        return a_alpha_exact(psi, alpha) / psi.dim
     raise ValueError(f"unknown method {req.method!r}")
 
 
-def run_estimation(req: EstimationRequest) -> EstimateReport:
+def estimate_from_gamma(req: EstimationRequest, gamma: float) -> EstimateReport:
+    """The report of ``req`` given its route's gamma: one seeded swap-test draw
+    at the request's shot count, or gamma itself when that count is 0."""
     d = req.state.dim
     budget = copies_required(req.alpha, d, req.epsilon, req.delta)
     shots = budget.swap_shots if req.shots is None else req.shots
-    rng = np.random.default_rng(np.random.SeedSequence(req.seed))
-
     if shots == 0:
-        # analytic mode: the exact purity of the prepared state, no sampling
-        gamma_hat = purity(exact_channel_output(req.state, req.alpha))
-        stderr = 0.0
+        gamma_hat, stderr = gamma, 0.0
     else:
-        source = _build_source(req)
-        gamma_hat, stderr = estimate_purity(source, shots, rng)
+        rng = np.random.default_rng(np.random.SeedSequence(req.seed))
+        gamma_hat, stderr = estimate_purity(gamma, shots, rng)
 
     a_hat = d * gamma_hat
     m_hat = None
@@ -140,3 +146,7 @@ def run_estimation(req: EstimationRequest) -> EstimateReport:
         state_spec=req.state_spec,
         marginal=req.marginal,
     )
+
+
+def run_estimation(req: EstimationRequest) -> EstimateReport:
+    return estimate_from_gamma(req, route_gamma(req))

@@ -29,6 +29,14 @@ NORM_TOL = 1e-10
 _PSD_CHECK_DIM = 1024
 
 
+def _check_pure_qubits(n: int) -> None:
+    """Refuse a pure state of ``n`` qubits before anything is allocated for it."""
+    if n < 1:
+        raise SizeGuardError("state needs at least one qubit")
+    if n > MAX_PURE_QUBITS:
+        raise SizeGuardError(f"{n} qubits exceeds the pure-state guard ({MAX_PURE_QUBITS})")
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized pure state on n qubits (amplitudes are read-only)."""
@@ -37,19 +45,15 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise SizeGuardError("state needs at least one qubit")
-        if self.n > MAX_PURE_QUBITS:
-            raise SizeGuardError(
-                f"{self.n} qubits exceeds the pure-state guard ({MAX_PURE_QUBITS})"
-            )
+        _check_pure_qubits(self.n)
         amps = np.ascontiguousarray(self.amps, dtype=complex)
         if amps.shape != (1 << self.n,):
             raise DimensionError(
                 f"expected {1 << self.n} amplitudes, got shape {self.amps.shape}"
             )
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        # a NaN or infinite amplitude makes norm_sq non-finite
+        if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > NORM_TOL:
             raise NormalizationError(f"|psi|^2 = {norm_sq!r} is not 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
@@ -75,8 +79,9 @@ class DensityMatrix:
         mat = np.ascontiguousarray(self.mat, dtype=complex)
         if mat.shape != (dim, dim):
             raise DimensionError(f"expected {dim}x{dim} matrix, got {self.mat.shape}")
-        if np.abs(mat - mat.conj().T).max() > 1e-10:
-            raise NormalizationError("matrix is not Hermitian to 1e-10")
+        # negated so that NaN or infinite entries fail the comparison too
+        if not np.abs(mat - mat.conj().T).max() <= 1e-10:
+            raise NormalizationError("matrix is not finite and Hermitian to 1e-10")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > 1e-10:
             raise NormalizationError(f"trace is {tr!r}, expected 1")
@@ -137,6 +142,7 @@ class SchmidtSpectrum:
 
 
 def basis_state(n: int, index: int) -> StateVector:
+    _check_pure_qubits(n)
     amps = np.zeros(1 << n, dtype=complex)
     amps[index] = 1.0
     return StateVector(n, amps)

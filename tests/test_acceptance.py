@@ -16,10 +16,10 @@ from sre_purity.bench import (
     sweep_theta,
 )
 from sre_purity.channels import PreparationMethod, coherent_prepare, copies_marginal
-from sre_purity.estimation import StaticSource, copies_required, estimate_purity
+from sre_purity.estimation import copies_required, estimate_purity
 from sre_purity.oracle import a_alpha_exact
 from sre_purity.pipeline import EstimationRequest, run_estimation
-from sre_purity.states import phase_state
+from sre_purity.states import phase_state, purity
 from sre_purity.clifford import haar_random_state
 from sre_purity.verification import (
     check_additivity,
@@ -137,12 +137,12 @@ def test_criterion_8_local_twirl_and_marginals():
 def test_criterion_9_statistical_scaling():
     # (a) stderr slope on log-log over four decades of shots
     psi = phase_state(PI4)
-    source = StaticSource(copies_marginal(coherent_prepare(psi, 2), 1, 2))
+    gamma = purity(copies_marginal(coherent_prepare(psi, 2), 1, 2))
     rng = np.random.default_rng(909)
     shot_grid = [100, 1000, 10_000, 100_000]
     stds = []
     for shots in shot_grid:
-        vals = [estimate_purity(source, shots, rng)[0] for _ in range(200)]
+        vals = [estimate_purity(gamma, shots, rng)[0] for _ in range(200)]
         stds.append(np.std(vals, ddof=1))
     slope = float(np.polyfit(np.log(shot_grid), np.log(stds), 1)[0])
 

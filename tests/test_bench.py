@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sre_purity.bench import (
+    _task_seed,
     build_gamma,
     complexity_table,
     direct_gamma_estimate,
@@ -18,8 +19,9 @@ from sre_purity.bench import (
 )
 from sre_purity.clifford import haar_random_state
 from sre_purity.errors import SizeGuardError
-from sre_purity.estimation import copies_required
+from sre_purity.estimation import copies_required, estimate_purity
 from sre_purity.oracle import a_alpha_exact
+from sre_purity.pipeline import EstimationRequest, run_estimation
 from sre_purity.states import (
     BipartiteSplit,
     phase_state,
@@ -27,7 +29,7 @@ from sre_purity.states import (
     schmidt_spectrum,
     zero_state,
 )
-from sre_purity.channels import coherent_prepare
+from sre_purity.channels import PreparationMethod, coherent_prepare
 
 PI4 = math.pi / 4
 
@@ -136,6 +138,28 @@ def test_sweep_deterministic():
     assert any(ra.a_hat != rc.a_hat for ra, rc in zip(a, c))
 
 
+@pytest.mark.parametrize("method", [PreparationMethod.COHERENT, PreparationMethod.INCOHERENT])
+def test_sweep_rows_equal_per_seed_runs(method):
+    grid = np.linspace(0, math.pi / 2, 3)
+    rows = sweep_theta([2, 3], grid, 0.1, 0.1, n_seeds=2, method=method, master_seed=5)
+    expected = []
+    for alpha in (2, 3):
+        for ti, theta in enumerate(grid):
+            for s in range(2):
+                rep = run_estimation(
+                    EstimationRequest(
+                        state=phase_state(theta),
+                        alpha=alpha,
+                        epsilon=0.1,
+                        delta=0.1,
+                        method=method,
+                        seed=_task_seed(5, (alpha, ti, s)),
+                    )
+                )
+                expected.append((rep.a_hat, rep.copies_used))
+    assert [(r.a_hat, r.copies_used) for r in rows] == expected
+
+
 # ---------------------------------------------------------------------------
 # direct estimators
 
@@ -200,6 +224,32 @@ def test_complexity_table_orderings():
     assert swap.copies == copies_required(2, 4, 0.1, 0.1).copies_of_psi
 
 
+def test_complexity_swap_rows_equal_per_seed_runs():
+    psi = haar_random_state(2, np.random.default_rng(42))
+    epsilons = [0.1, 0.2]
+    rows = complexity_table(["swap_purity"], [2, 3], epsilons, 3, psi, master_seed=4)
+    expected = []
+    for alpha in (2, 3):
+        exact = a_alpha_exact(psi, alpha)
+        for ei, eps in enumerate(epsilons):
+            reps = [
+                run_estimation(
+                    EstimationRequest(
+                        state=psi,
+                        alpha=alpha,
+                        epsilon=eps,
+                        delta=0.1,
+                        method=PreparationMethod.COHERENT,
+                        seed=_task_seed(4, (0, alpha, ei, s)),
+                    )
+                )
+                for s in range(3)
+            ]
+            rmse = float(np.sqrt(np.mean(np.square([r.a_hat - exact for r in reps]))))
+            expected.append((alpha, eps, reps[0].copies_used, rmse))
+    assert [(r.alpha, r.epsilon_target, r.copies, r.empirical_rmse) for r in rows] == expected
+
+
 def test_complexity_rmse_scaling_with_copies():
     # quadrupling the shot count halves the rmse: slope -1/2 on log-log
     psi = phase_state(PI4)
@@ -207,11 +257,9 @@ def test_complexity_rmse_scaling_with_copies():
     rng = np.random.default_rng(11)
     shot_grid = [100, 1000, 10_000, 100_000]
     rmses = []
-    from sre_purity.estimation import IncoherentPairSource, estimate_purity
-
-    source = IncoherentPairSource(psi, 2)
+    gamma = a_alpha_exact(psi, 2) / 2  # the incoherent route's gamma
     for shots in shot_grid:
-        errs = [2 * estimate_purity(source, shots, rng)[0] - exact for _ in range(120)]
+        errs = [2 * estimate_purity(gamma, shots, rng)[0] - exact for _ in range(120)]
         rmses.append(float(np.sqrt(np.mean(np.square(errs)))))
     slope = np.polyfit(np.log(shot_grid), np.log(rmses), 1)[0]
     assert abs(slope + 0.5) < 0.05

@@ -22,6 +22,7 @@ from sre_purity.channels import (
 )
 from sre_purity.clifford import haar_random_state
 from sre_purity.errors import SizeGuardError
+from sre_purity.estimation import state_overlap
 from sre_purity.oracle import a_alpha_exact
 from sre_purity.states import (
     partial_trace,
@@ -232,6 +233,17 @@ def test_incoherent_exhaustive_average_is_channel_output():
         acc += np.outer(sample.amps, sample.amps.conj())
     acc /= d2
     assert np.abs(acc - exact_channel_output(psi, alpha).mat).max() < 1e-12
+
+
+@pytest.mark.parametrize("n,alpha", [(1, 2), (1, 3), (2, 2), (2, 3)])
+def test_incoherent_pair_overlap_mean_is_a_alpha_over_d(n, alpha):
+    # a swap-test shot on two independent incoherent samples is 0 with
+    # probability (1 + overlap)/2; averaged over every pair of drawn strings
+    # the overlap is A_alpha/d, the purity the incoherent route samples from
+    psi = haar_random_state(n, np.random.default_rng(10 * n + alpha))
+    samples = [incoherent_sample(psi, alpha, _FixedDraw(j)) for j in range(4**n)]
+    mean = np.mean([state_overlap(a, b) for a in samples for b in samples])
+    assert abs(mean - a_alpha_exact(psi, alpha) / psi.dim) < 1e-12
 
 
 def purity_of_pure(amps):

@@ -79,6 +79,29 @@ def test_size_guard_exit_code(capsys):
     assert run_cli(["estimate", "--state", "stab:13", "--alpha", "2"]) == 3
 
 
+@pytest.mark.parametrize("spec", ["stab:70", "haar:21:1"])
+def test_oversized_state_refused_before_allocation(spec, capsys):
+    assert run_cli(["estimate", "--state", spec, "--alpha", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("size guard:") and err.count("\n") == 1
+
+
+def test_budget_beyond_int64_refused(capsys):
+    args = ["estimate", "--state", "haar:1:1", "--alpha", "2", "--eps", "1e-9", "--delta", "1e-9"]
+    assert run_cli(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("size guard:") and captured.err.count("\n") == 1
+
+
+def test_large_budget_is_one_draw(capsys):
+    args = ["estimate", "--state", "haar:1:1", "--alpha", "2", "--eps", "1e-4", "--delta", "1e-3"]
+    assert run_cli(args) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["shots_used"] == payload["budget"]["swap_shots"] > 10**11
+    assert math.isfinite(payload["a_hat"])
+
+
 def test_state_file_round_trip(tmp_path):
     amps = np.array([1, 1j]) / math.sqrt(2)
     path = tmp_path / "state.json"
@@ -92,6 +115,14 @@ def test_state_file_norm_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps([[1.0, 0.0], [1.0, 0.0]]))
     assert run_cli(["oracle", "--state", f"file:{path}", "--alpha", "2"]) == 2
+
+
+@pytest.mark.parametrize("command", [["oracle"], ["estimate", "--method", "incoherent"]])
+def test_state_file_non_finite_rejected(command, tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text("[[NaN, 0], [0, 0]]")
+    assert run_cli(command + ["--state", f"file:{path}", "--alpha", "2"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_haar_spec_deterministic():
@@ -160,6 +191,16 @@ def test_complexity_csv(tmp_path):
     header_idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
     assert lines[header_idx] == "method,alpha,epsilon,copies,empirical_rmse"
     assert len(lines) == header_idx + 3
+
+
+@pytest.mark.parametrize("spec", ["haar:2:6", "haar:3:3"])
+def test_complexity_on_states_with_rounded_up_expectations(spec, tmp_path):
+    # on these states some |<P>|^(2 alpha) rounds above 1; the direct
+    # estimators must still get a valid shot probability
+    out = tmp_path / "cx.csv"
+    assert run_cli([
+        "complexity", "--state", spec, "--alphas", "2", "--seeds", "2", "--out", str(out),
+    ]) == 0
 
 
 def test_unwritable_output_exit_code(tmp_path):

@@ -1,24 +1,31 @@
-"""Shot-level estimation tests: budget arithmetic, swap-test laws, Monte-Carlo
-scaling, and the explicit-circuit validation route."""
+"""Swap-test estimation tests: budget arithmetic, the sampler's shot law,
+Monte-Carlo scaling, and the explicit-circuit validation route."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sre_purity.channels import coherent_prepare, copies_marginal, incoherent_sample
+from sre_purity.channels import (
+    PreparationMethod,
+    coherent_prepare,
+    copies_marginal,
+    exact_channel_output,
+    incoherent_sample,
+)
+from sre_purity.errors import SizeGuardError
 from sre_purity.estimation import (
-    IncoherentPairSource,
-    StaticSource,
+    MAX_SHOTS,
     copies_required,
     estimate_purity,
     state_overlap,
     swap_test_circuit_p0,
-    swap_test_shot,
 )
 from sre_purity.oracle import a_alpha_exact
+from sre_purity.pipeline import EstimationRequest, route_gamma
 from sre_purity.states import (
     DensityMatrix,
     StateVector,
@@ -30,6 +37,7 @@ from sre_purity.states import (
 )
 
 MAX_MIXED_1Q = DensityMatrix(1, np.eye(2) / 2)
+MAX_MIXED_GAMMA = purity(MAX_MIXED_1Q)
 
 
 def test_budget_paper_numbers():
@@ -75,9 +83,10 @@ def test_budget_invariants(alpha, d, eps, delta):
 
 
 def test_pure_source_always_zero():
-    source = StaticSource(pure_density(phase_state(0.4)))
+    gamma = purity(pure_density(phase_state(0.4)))
     rng = np.random.default_rng(0)
-    assert all(swap_test_shot(source, rng) == 0 for _ in range(50))
+    # every shot is 0, so each single-shot estimate is +1
+    assert all(estimate_purity(gamma, 1, rng)[0] == 1.0 for _ in range(50))
 
 
 def test_overlap_values():
@@ -87,10 +96,9 @@ def test_overlap_values():
 
 
 def test_maximally_mixed_shot_frequency():
-    source = StaticSource(MAX_MIXED_1Q)
     rng = np.random.default_rng(7)
     shots = 20000
-    zeros = sum(swap_test_shot(source, rng) == 0 for _ in range(shots))
+    zeros = sum(estimate_purity(MAX_MIXED_GAMMA, 1, rng)[0] == 1.0 for _ in range(shots))
     assert zeros / shots == pytest.approx(0.75, abs=0.01)
 
 
@@ -102,37 +110,57 @@ def test_orthogonal_states_give_half():
 
 def test_estimate_purity_pure_source_is_exact():
     gamma, stderr = estimate_purity(
-        StaticSource(pure_density(phase_state(0.9))), 500, np.random.default_rng(1)
+        purity(pure_density(phase_state(0.9))), 500, np.random.default_rng(1)
     )
     assert gamma == 1.0
     assert stderr == 0.0
 
 
 def test_estimate_purity_maximally_mixed_seeded():
-    gamma, stderr = estimate_purity(StaticSource(MAX_MIXED_1Q), 10**5, np.random.default_rng(12))
+    gamma, stderr = estimate_purity(MAX_MIXED_GAMMA, 10**5, np.random.default_rng(12))
     assert abs(gamma - 0.5) < 0.01
     assert stderr == pytest.approx(math.sqrt((1 - 0.5**2) / 10**5), rel=0.05)
 
 
 def test_estimate_purity_rejects_zero_shots():
     with pytest.raises(ValueError):
-        estimate_purity(StaticSource(MAX_MIXED_1Q), 0, np.random.default_rng(0))
+        estimate_purity(MAX_MIXED_GAMMA, 0, np.random.default_rng(0))
+
+
+def test_estimate_purity_refuses_shots_beyond_int64():
+    rng = np.random.default_rng(0)
+    with pytest.raises(SizeGuardError):
+        estimate_purity(MAX_MIXED_GAMMA, MAX_SHOTS + 1, rng)
+    gamma, _ = estimate_purity(MAX_MIXED_GAMMA, MAX_SHOTS, rng)
+    assert abs(gamma - 0.5) < 1e-6
+
+
+def test_estimate_purity_memory_is_independent_of_shots():
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        estimate_purity(0.3, 10**7, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_gamma_hat_always_in_range():
-    source = IncoherentPairSource(phase_state(0.8), 2)
+    psi = phase_state(0.8)
+    true_gamma = a_alpha_exact(psi, 2) / psi.dim  # the incoherent route's gamma
     for seed in range(30):
-        gamma, _ = estimate_purity(source, 25, np.random.default_rng(seed))
+        gamma, _ = estimate_purity(true_gamma, 25, np.random.default_rng(seed))
         assert -1.0 <= gamma <= 1.0
 
 
 def test_estimates_reported_raw_not_clipped():
     # a stabilizer input has channel purity 1/2, so a_hat = 2*gamma_hat
     # fluctuates above 1; raw reporting must keep those values
-    source = StaticSource(copies_marginal(coherent_prepare(zero_state(1), 2), 1, 2))
+    true_gamma = purity(copies_marginal(coherent_prepare(zero_state(1), 2), 1, 2))
     seen_above = False
     for seed in range(200):
-        gamma, _ = estimate_purity(source, 40, np.random.default_rng(seed))
+        gamma, _ = estimate_purity(true_gamma, 40, np.random.default_rng(seed))
         if 2 * gamma > 1.0:
             seen_above = True
             break
@@ -140,23 +168,21 @@ def test_estimates_reported_raw_not_clipped():
 
 
 def test_stderr_scales_as_inverse_sqrt_shots():
-    source = StaticSource(MAX_MIXED_1Q)
     rng = np.random.default_rng(2024)
     shot_grid = [100, 1000, 10_000, 100_000]
     reps = 200
     stds = []
     for shots in shot_grid:
-        estimates = [estimate_purity(source, shots, rng)[0] for _ in range(reps)]
+        estimates = [estimate_purity(MAX_MIXED_GAMMA, shots, rng)[0] for _ in range(reps)]
         stds.append(np.std(estimates, ddof=1))
     slope = np.polyfit(np.log(shot_grid), np.log(stds), 1)[0]
     assert abs(slope + 0.5) < 0.05
 
 
 def test_unbiasedness_over_many_seeds():
-    source = StaticSource(MAX_MIXED_1Q)
     rng = np.random.default_rng(31)
     reps, shots = 10_000, 32
-    estimates = np.array([estimate_purity(source, shots, rng)[0] for _ in range(reps)])
+    estimates = np.array([estimate_purity(MAX_MIXED_GAMMA, shots, rng)[0] for _ in range(reps)])
     grand = estimates.mean()
     combined_se = estimates.std(ddof=1) / math.sqrt(reps)
     assert abs(grand - 0.5) < 3 * combined_se
@@ -164,9 +190,9 @@ def test_unbiasedness_over_many_seeds():
 
 def test_incoherent_source_unbiased_for_channel_purity():
     psi = phase_state(math.pi / 4)
-    source = IncoherentPairSource(psi, 2)
-    target = a_alpha_exact(psi, 2) / 2  # d^{-1} A_2
-    gamma, stderr = estimate_purity(source, 200_000, np.random.default_rng(5))
+    req = EstimationRequest(psi, 2, 0.05, 0.1, PreparationMethod.INCOHERENT, seed=5)
+    target = purity(exact_channel_output(psi, 2))
+    gamma, stderr = estimate_purity(route_gamma(req), 200_000, np.random.default_rng(5))
     assert abs(gamma - target) < 4 * stderr + 1e-12
 
 
@@ -174,12 +200,12 @@ def test_chebyshev_guarantee_at_full_budget():
     psi = phase_state(math.pi / 4)
     exact = a_alpha_exact(psi, 2)
     budget = copies_required(2, 2, 0.05, 0.1)
-    source = StaticSource(copies_marginal(coherent_prepare(psi, 2), 1, 2))
+    true_gamma = purity(copies_marginal(coherent_prepare(psi, 2), 1, 2))
     rng = np.random.default_rng(77)
     failures = 0
     seeds = 120
     for _ in range(seeds):
-        gamma, _ = estimate_purity(source, budget.swap_shots, rng)
+        gamma, _ = estimate_purity(true_gamma, budget.swap_shots, rng)
         if abs(2 * gamma - exact) > 0.05:
             failures += 1
     assert failures / seeds <= 0.1

@@ -19,7 +19,9 @@ from sre_purity.clifford import (
     random_clifford_state,
     single_qubit_stabilizer_states,
 )
+from sre_purity.errors import NormalizationError
 from sre_purity.oracle import (
+    CharacteristicDistribution,
     SreValue,
     a_alpha_exact,
     characteristic_distribution,
@@ -67,6 +69,12 @@ def test_characteristic_distribution_normalized(n):
         probs = characteristic_distribution(haar_random_state(n, rng)).probs
         assert abs(probs.sum() - 1.0) < 1e-10
         assert probs.min() > -1e-12
+
+
+def test_characteristic_distribution_rejects_non_finite():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NormalizationError):
+            CharacteristicDistribution(np.array([0.5, bad, 0.5, 0.0]))
 
 
 def test_a_alpha_one_is_unity():

@@ -5,9 +5,10 @@ import math
 
 import pytest
 
+import sre_purity.pipeline as pipeline
 from sre_purity.channels import PreparationMethod
 from sre_purity.oracle import a_alpha_exact, closed_form_a
-from sre_purity.pipeline import EstimationRequest, m_from_a, run_estimation
+from sre_purity.pipeline import EstimationRequest, m_from_a, route_gamma, run_estimation
 from sre_purity.states import phase_state, zero_state
 
 PI4 = math.pi / 4
@@ -106,11 +107,37 @@ def test_ancilla_marginal_flag():
 
 
 def test_full_circuit_route_agrees_with_static_source():
-    # the coherent full-circuit source has the same Bernoulli parameter and
-    # consumes the uniform stream identically, so reports coincide exactly
+    # the coherent full-circuit route reads the same gamma off the explicit
+    # circuit and makes the same seeded draw, so reports coincide exactly
     normal = run_estimation(_request(seed=21, shots=400))
     circuit = run_estimation(_request(seed=21, shots=400, full_circuit=True))
     assert normal.gamma_hat == circuit.gamma_hat
+
+
+@pytest.mark.parametrize(
+    "method,marginal",
+    [
+        (PreparationMethod.COHERENT, "copies"),
+        (PreparationMethod.COHERENT, "ancilla"),
+        (PreparationMethod.INCOHERENT, "copies"),
+    ],
+)
+def test_full_circuit_gamma_matches_route(method, marginal):
+    psi = phase_state(0.9)
+    req = _request(state=psi, method=method, marginal=marginal)
+    circuit = route_gamma(_request(state=psi, method=method, marginal=marginal, full_circuit=True))
+    assert circuit == pytest.approx(route_gamma(req), abs=1e-12)
+    assert circuit == pytest.approx(a_alpha_exact(psi, 2) / 2, abs=1e-12)
+
+
+def test_zero_shot_mode_uses_the_selected_route(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the dense channel output was built")
+
+    monkeypatch.setattr(pipeline, "exact_channel_output", refuse)
+    for method in (PreparationMethod.COHERENT, PreparationMethod.INCOHERENT):
+        rep = run_estimation(_request(method=method, shots=0))
+        assert rep.a_hat == pytest.approx(0.75, abs=1e-12)
 
 
 def test_full_circuit_flag_guarded():

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from sre_purity.errors import DimensionError, SizeGuardError
+from sre_purity.errors import DimensionError, NormalizationError, SizeGuardError
 from sre_purity.paulis import pauli_from_index
 from sre_purity.states import (
     BipartiteSplit,
@@ -64,13 +64,22 @@ def random_density(n, seed, rank=3) -> DensityMatrix:
 def test_statevector_rejects_unnormalized():
     with pytest.raises(Exception):
         StateVector(1, np.array([1.0, 1.0]))
+    for bad in ([np.nan, 0.0], [np.inf, 0.0], [1.0, np.nan]):
+        with pytest.raises(NormalizationError):
+            StateVector(1, np.array(bad))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_density_matrix_rejects_bad_inputs():
     with pytest.raises(Exception):
         DensityMatrix(1, np.array([[1.0, 1.0], [0.0, 0.0]]))  # not Hermitian
     with pytest.raises(Exception):
         DensityMatrix(1, np.eye(2))  # trace 2
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NormalizationError):
+            DensityMatrix(1, np.array([[0.5, bad], [bad, 0.5]]))
+        with pytest.raises(NormalizationError):
+            DensityMatrix(1, np.array([[bad, 0.0], [0.0, 0.0]]))
 
 
 def test_split_validation():
