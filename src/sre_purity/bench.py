@@ -11,9 +11,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import PreparationMethod, coherent_prepare
-from .errors import SizeGuardError
-from .estimation import ceil_with_guard
+from .errors import OPERATOR_DIM, PURE_QUBITS, SHOTS, check_size
+from .estimation import budget_ceil
 from .oracle import a_alpha_exact, closed_form_a, m_alpha_exact, pauli_expectations
+from .paulis import pauli_from_index
 from .pipeline import (
     EstimateReport,
     EstimationRequest,
@@ -29,14 +30,6 @@ from .states import (
     schmidt_spectrum,
     tensor_power,
 )
-
-_PAULI_2X2 = [
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-]
-
 
 # ---------------------------------------------------------------------------
 # replica-trick observable
@@ -62,16 +55,12 @@ def build_gamma(alpha: int) -> ReplicaObservable:
     """Gamma_alpha = (1/2) sum_i Q_i^{(x) 2 alpha} over the four qubit Paulis."""
     if alpha < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
-    if 2 * alpha > 10:
-        raise SizeGuardError(f"dense replica operator needs 2*alpha <= 10, got {2 * alpha}")
-    dim = 1 << (2 * alpha)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for q in _PAULI_2X2:
-        term = np.eye(1, dtype=complex)
-        for _ in range(2 * alpha):
-            term = np.kron(term, q)
-        mat += term
-    return ReplicaObservable(alpha, mat / 2.0)
+    m = 2 * alpha
+    check_size("operator dimension", 1 << m, OPERATOR_DIM)
+    # Q^{(x) m} is the m-qubit string that repeats Q's x and z bits on every qubit
+    ones = (1 << m) - 1
+    powers = [pauli_from_index(m, ones * (j & 1) | (ones << m) * (j >> 1)) for j in range(4)]
+    return ReplicaObservable(alpha, sum(p.to_dense() for p in powers) / 2.0)
 
 
 def gamma_tensor_max_abs_eig(alpha: int, n: int) -> float:
@@ -209,10 +198,8 @@ def direct_gamma_estimate(
 ) -> EstimateReport:
     """Average of per-string +/-1 outcomes of the d^2 strings P_j^{(x)2a}
     measured on |psi>^{(x)2a}; exactly unbiased for A_alpha."""
-    if 2 * alpha * psi.n > 20:
-        raise SizeGuardError("2*alpha*n exceeds the pure-state guard")
-    if shots_per_string < 1:
-        raise ValueError("shots_per_string must be >= 1")
+    check_size("pure-state qubits", 2 * alpha * psi.n, PURE_QUBITS)
+    check_size("shots", shots_per_string, SHOTS)
     d = psi.dim
     k = shots_per_string
     means = pauli_expectations(psi) ** (2 * alpha)
@@ -251,8 +238,9 @@ def direct_single_copy_estimate(
     """
     d = psi.dim
     if shots_per_string is None:
-        tau = epsilon / (2 * alpha * d)
-        shots_per_string = ceil_with_guard(1.0 / (tau * tau * delta))
+        # tau^-2 delta^-1 with tau = epsilon/(2 alpha d)
+        shots_per_string = budget_ceil((2 * alpha * d) ** 2, epsilon, delta)
+    check_size("shots", shots_per_string, SHOTS)
     k = shots_per_string
     means = pauli_expectations(psi)
     successes = rng.binomial(k, np.clip(0.5 * (1.0 + means), 0.0, 1.0))
@@ -302,6 +290,8 @@ def complexity_table(
     ``run_estimation`` would make.
     """
     known = ("swap_purity", "direct_gamma", "direct_single_copy")
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     rows = []
     for method in methods:
         if method not in known:
@@ -327,7 +317,7 @@ def complexity_table(
                     if method == "swap_purity":
                         rep = estimate_from_gamma(replace(swap, epsilon=epsilon, seed=ts), gamma)
                     elif method == "direct_gamma":
-                        k = ceil_with_guard(1.0 / (epsilon * epsilon * delta))
+                        k = budget_ceil(1, epsilon, delta)
                         rep = direct_gamma_estimate(state, alpha, k, rng, seed=ts)
                     else:
                         rep = direct_single_copy_estimate(

@@ -19,17 +19,15 @@ import enum
 
 import numpy as np
 
-from .errors import SizeGuardError
+from .errors import DENSE_DIM, PURE_QUBITS, check_size
+from .oracle import pauli_expectations
 from .paulis import enumerate_paulis, pauli_from_index
 from .states import (
-    MAX_DENSE_DIM,
-    MAX_PURE_QUBITS,
     DensityMatrix,
     StateVector,
     apply_pauli,
     controlled_pauli_power,
     hadamard_layer,
-    pauli_expval,
     reduced_density_matrix,
     tensor_power,
     zero_state,
@@ -51,11 +49,10 @@ def exact_channel_output(psi: StateVector, alpha: int) -> DensityMatrix:
     """d^{-2} sum_j (P_j psi P_j)^{(x) alpha} as a dense density matrix."""
     _check_alpha(alpha)
     n, d = psi.n, psi.dim
-    if (1 << (alpha * n)) > MAX_DENSE_DIM:
-        raise SizeGuardError(
-            f"channel output dimension 2^{alpha * n} exceeds {MAX_DENSE_DIM}"
-        )
+    # each term is a pure state on alpha n qubits
+    check_size("pure-state qubits", alpha * n, PURE_QUBITS)
     dim = 1 << (alpha * n)
+    check_size("density-matrix dimension", dim, DENSE_DIM)
     out = np.zeros((dim, dim), dtype=complex)
     for p in enumerate_paulis(n):
         term = tensor_power(apply_pauli(p, psi), alpha).amps
@@ -79,8 +76,7 @@ def coherent_prepare(psi: StateVector, alpha: int) -> StateVector:
     _check_alpha(alpha)
     n = psi.n
     total = (2 + alpha) * n
-    if total > MAX_PURE_QUBITS:
-        raise SizeGuardError(f"{total} qubits exceed the guard ({MAX_PURE_QUBITS})")
+    check_size("pure-state qubits", total, PURE_QUBITS)
     ancilla, blocks = coherent_layout(n, alpha)
     full = StateVector(
         total, np.kron(zero_state(2 * n).amps, tensor_power(psi, alpha).amps)
@@ -107,9 +103,8 @@ def ancilla_marginal(psi: StateVector, alpha: int) -> DensityMatrix:
     """
     _check_alpha(alpha)
     n, d = psi.n, psi.dim
-    if 4**n > MAX_DENSE_DIM:
-        raise SizeGuardError(f"ancilla dimension 4^{n} exceeds {MAX_DENSE_DIM}")
-    e = np.array([pauli_expval(p, psi) for p in enumerate_paulis(n)])
+    check_size("density-matrix dimension", d * d, DENSE_DIM)
+    e = pauli_expectations(psi)
     idx = np.arange(d * d)
     x_mask = idx & (d - 1)
     z_mask = idx >> n
@@ -127,7 +122,6 @@ def ancilla_marginal(psi: StateVector, alpha: int) -> DensityMatrix:
 def incoherent_sample(psi: StateVector, alpha: int, rng: np.random.Generator) -> StateVector:
     """P_j^{(x)alpha} |psi>^{(x)alpha} for one uniformly drawn string (index forgotten)."""
     _check_alpha(alpha)
-    if alpha * psi.n > MAX_PURE_QUBITS:
-        raise SizeGuardError(f"{alpha * psi.n} qubits exceed the guard ({MAX_PURE_QUBITS})")
+    check_size("pure-state qubits", alpha * psi.n, PURE_QUBITS)
     j = int(rng.integers(4**psi.n))
     return tensor_power(apply_pauli(pauli_from_index(psi.n, j), psi), alpha)

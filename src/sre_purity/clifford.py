@@ -12,21 +12,15 @@ import math
 
 import numpy as np
 
-from .states import (
-    StateVector,
-    _check_pure_qubits,
-    apply_cnot,
-    apply_single_qubit_gate,
-    zero_state,
-)
+from .errors import PURE_QUBITS, check_size
+from .states import HADAMARD, StateVector, apply_cnot, apply_single_qubit_gate, zero_state
 
-_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
 _S = np.array([[1.0, 0.0], [0.0, 1.0j]])
 
 
 def haar_random_state(n: int, rng: np.random.Generator) -> StateVector:
     """Normalized vector of iid standard complex Gaussian amplitudes."""
-    _check_pure_qubits(n)
+    check_size("pure-state qubits", n, PURE_QUBITS)
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     return StateVector(n, amps / np.linalg.norm(amps))
 
@@ -51,7 +45,7 @@ def apply_circuit(psi: StateVector, circuit) -> StateVector:
     out = psi
     for name, qubits in circuit:
         if name == "H":
-            out = apply_single_qubit_gate(out, _H, qubits[0])
+            out = apply_single_qubit_gate(out, HADAMARD, qubits[0])
         elif name == "S":
             out = apply_single_qubit_gate(out, _S, qubits[0])
         elif name == "CNOT":

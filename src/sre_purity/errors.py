@@ -1,4 +1,11 @@
-"""Shared exception types, kept separate so the CLI can map them to exit codes."""
+"""Shared exception types, kept separate so the CLI can map them to exit codes,
+and the size-guard table.
+
+Every site that allocates an object whose size grows with the input checks
+the size it is about to allocate against one of the limits below with
+``check_size`` first, so an oversized request is refused before anything is
+allocated for it.
+"""
 
 
 class DimensionError(ValueError):
@@ -11,3 +18,17 @@ class SizeGuardError(ValueError):
 
 class NormalizationError(ValueError):
     """A state or distribution violates its normalization invariant."""
+
+
+# The size-guard table.
+PAULI_QUBITS = 12  # qubits of one Pauli string
+PURE_QUBITS = 20  # qubits of a pure state
+DENSE_DIM = 4096  # dimension of a density matrix
+OPERATOR_DIM = 1024  # dimension of an explicit operator matrix
+SHOTS = 2**63 - 1  # shots of one binomial draw (numpy draws int64 counts)
+
+
+def check_size(what: str, value: int, limit: int) -> None:
+    """Refuse ``value`` unless 1 <= value <= limit."""
+    if not 1 <= value <= limit:
+        raise SizeGuardError(f"{what} {value} is outside the size guard [1, {limit}]")

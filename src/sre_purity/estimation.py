@@ -13,22 +13,37 @@ route for that law.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, SizeGuardError
+from .errors import PURE_QUBITS, SHOTS, DimensionError, check_size
 from .states import DensityMatrix, StateVector, hadamard_layer
 
-_CEIL_GUARD = 1e-9
-# numpy draws binomial counts as int64
-MAX_SHOTS = int(np.iinfo(np.int64).max)
+
+def _decimal_ratio(x: float) -> tuple[int, int]:
+    """(numerator, denominator) of the shortest decimal repr of ``x``."""
+    digits, _, exponent = repr(float(x)).partition("e")
+    whole, _, fraction = digits.partition(".")
+    mantissa, shift = int(whole + fraction), int(exponent or 0) - len(fraction)
+    return (mantissa * 10**shift, 1) if shift >= 0 else (mantissa, 10**-shift)
 
 
-def ceil_with_guard(value: float) -> int:
-    """Ceiling that forgives sub-1e-9 floating-point overshoot."""
-    return math.ceil(value - _CEIL_GUARD * max(1.0, abs(value)))
+# sweeps and complexity tables ask for the same few budgets once per seed
+@functools.lru_cache(maxsize=256)
+def budget_ceil(numerator: int, epsilon: float, delta: float) -> int:
+    """ceil(numerator / (epsilon^2 delta)) in exact integers.
+
+    Each float is read as its shortest decimal repr, so eps = 0.1 is 1/10 and
+    a budget is never off by the float's rounding, however large it is.
+    """
+    if not (0 < epsilon < math.inf and 0 < delta < math.inf):
+        raise ValueError(f"epsilon and delta must be positive and finite, got {epsilon}, {delta}")
+    en, ed = _decimal_ratio(epsilon)
+    dn, dd = _decimal_ratio(delta)
+    return -(-(numerator * ed * ed * dd) // (en * en * dn))
 
 
 @dataclass(frozen=True)
@@ -62,7 +77,7 @@ def copies_required(alpha: int, d: int, epsilon: float, delta: float) -> ShotBud
         raise ValueError(f"dimension must be >= 2, got {d}")
     if not 0 < epsilon <= 1 or not 0 < delta <= 1:
         raise ValueError(f"epsilon and delta must lie in (0, 1], got {epsilon}, {delta}")
-    copies = ceil_with_guard(alpha * d * d / (epsilon * epsilon * delta))
+    copies = budget_ceil(alpha * d * d, epsilon, delta)
     shots = -(-copies // (2 * alpha))
     return ShotBudget(alpha, d, epsilon, delta, epsilon / d, copies, shots)
 
@@ -93,8 +108,7 @@ def estimate_purity(gamma: float, shots: int, rng) -> tuple[float, float]:
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    if shots > MAX_SHOTS:
-        raise SizeGuardError(f"{shots} shots exceed the sampler's limit ({MAX_SHOTS})")
+    check_size("shots", shots, SHOTS)
     # a route's purity may round just above 1
     p0 = min(max(0.5 * (1.0 + gamma), 0.0), 1.0)
     zeros = int(rng.binomial(shots, p0))
@@ -131,6 +145,7 @@ def swap_test_circuit_p0(left: StateVector, right: StateVector, swap_qubits=None
     if left.n != right.n:
         raise DimensionError("the two preparations must have equal qubit counts")
     m = left.n
+    check_size("pure-state qubits", 2 * m + 1, PURE_QUBITS)
     if swap_qubits is None:
         swap_qubits = range(m)
     full = StateVector(

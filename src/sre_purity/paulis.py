@@ -22,19 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, SizeGuardError
-
-# Single-string operations are capped here; larger systems are out of scope.
-MAX_QUBITS = 12
+from .errors import OPERATOR_DIM, PAULI_QUBITS, DimensionError, check_size
 
 _PAULI_CHARS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
-
-
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise SizeGuardError(f"qubit count must be >= 1, got {n}")
-    if n > MAX_QUBITS:
-        raise SizeGuardError(f"qubit count {n} exceeds the size guard ({MAX_QUBITS})")
 
 
 @dataclass(frozen=True)
@@ -47,7 +37,7 @@ class PauliString:
     phase_exp: int = 0
 
     def __post_init__(self):
-        _check_n(self.n)
+        check_size("Pauli-string qubits", self.n, PAULI_QUBITS)
         mask = (1 << self.n) - 1
         if not (0 <= self.x_bits <= mask and 0 <= self.z_bits <= mask):
             raise ValueError("bit masks do not fit in n bits")
@@ -82,9 +72,8 @@ class PauliString:
 
     def to_dense(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix; intended for small n cross-checks."""
-        if self.n > 10:
-            raise SizeGuardError("dense form restricted to n <= 10")
         dim = 1 << self.n
+        check_size("operator dimension", dim, OPERATOR_DIM)
         rows = np.arange(dim) ^ self.x_bits
         signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(dim) & self.z_bits) & 1)
         mat = np.zeros((dim, dim), dtype=complex)
@@ -94,7 +83,7 @@ class PauliString:
 
 def pauli_from_index(n: int, index: int) -> PauliString:
     """Canonical Hermitian string number ``index`` (0 <= index < 4^n)."""
-    _check_n(n)
+    check_size("Pauli-string qubits", n, PAULI_QUBITS)
     if not 0 <= index < 4**n:
         raise ValueError(f"Pauli index {index} out of range for n={n}")
     x = index & ((1 << n) - 1)
@@ -104,7 +93,7 @@ def pauli_from_index(n: int, index: int) -> PauliString:
 
 def enumerate_paulis(n: int) -> list[PauliString]:
     """All 4^n Hermitian Pauli strings in canonical order (index 0 = identity)."""
-    _check_n(n)
+    check_size("Pauli-string qubits", n, PAULI_QUBITS)
     return [pauli_from_index(n, j) for j in range(4**n)]
 
 

@@ -15,26 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NormalizationError, SizeGuardError
+from .errors import DENSE_DIM, PURE_QUBITS, DimensionError, NormalizationError, check_size
 from .paulis import PauliString, apply_pauli_amps, expval
 
-# Pure-state paths may hold at most this many qubits; dense density-matrix
-# paths are capped by dimension instead.
-MAX_PURE_QUBITS = 20
-MAX_DENSE_DIM = 4096
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
 
 NORM_TOL = 1e-10
 # PSD validation is O(dim^3); above this dimension it is skipped and the
 # invariant is covered by the construction sites and the test suite.
 _PSD_CHECK_DIM = 1024
-
-
-def _check_pure_qubits(n: int) -> None:
-    """Refuse a pure state of ``n`` qubits before anything is allocated for it."""
-    if n < 1:
-        raise SizeGuardError("state needs at least one qubit")
-    if n > MAX_PURE_QUBITS:
-        raise SizeGuardError(f"{n} qubits exceeds the pure-state guard ({MAX_PURE_QUBITS})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +34,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        _check_pure_qubits(self.n)
+        check_size("pure-state qubits", self.n, PURE_QUBITS)
         amps = np.ascontiguousarray(self.amps, dtype=complex)
         if amps.shape != (1 << self.n,):
             raise DimensionError(
@@ -72,10 +61,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         dim = 1 << self.n
-        if dim > MAX_DENSE_DIM:
-            raise SizeGuardError(
-                f"density matrix dimension {dim} exceeds the guard ({MAX_DENSE_DIM})"
-            )
+        # matrices built by callers are validated here; package sites check
+        # their dimension before they allocate
+        check_size("density-matrix dimension", dim, DENSE_DIM)
         mat = np.ascontiguousarray(self.mat, dtype=complex)
         if mat.shape != (dim, dim):
             raise DimensionError(f"expected {dim}x{dim} matrix, got {self.mat.shape}")
@@ -142,7 +130,7 @@ class SchmidtSpectrum:
 
 
 def basis_state(n: int, index: int) -> StateVector:
-    _check_pure_qubits(n)
+    check_size("pure-state qubits", n, PURE_QUBITS)
     amps = np.zeros(1 << n, dtype=complex)
     amps[index] = 1.0
     return StateVector(n, amps)
@@ -158,6 +146,7 @@ def phase_state(theta: float) -> StateVector:
 
 
 def pure_density(psi: StateVector) -> DensityMatrix:
+    check_size("density-matrix dimension", psi.dim, DENSE_DIM)
     return DensityMatrix(psi.n, np.outer(psi.amps, psi.amps.conj()))
 
 
@@ -180,10 +169,7 @@ def pauli_expval(p: PauliString, psi: StateVector) -> float:
 def tensor_power(psi: StateVector, alpha: int) -> StateVector:
     if alpha < 1:
         raise ValueError("alpha must be a positive integer")
-    if alpha * psi.n > MAX_PURE_QUBITS:
-        raise SizeGuardError(
-            f"{alpha} copies of {psi.n} qubits exceed the guard ({MAX_PURE_QUBITS})"
-        )
+    check_size("pure-state qubits", alpha * psi.n, PURE_QUBITS)
     amps = psi.amps
     for _ in range(alpha - 1):
         amps = np.kron(amps, psi.amps)
@@ -201,13 +187,10 @@ def apply_single_qubit_gate(psi: StateVector, gate: np.ndarray, qubit: int) -> S
     return StateVector(psi.n, out.reshape(psi.dim))
 
 
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
-
-
 def hadamard_layer(psi: StateVector, targets) -> StateVector:
     out = psi
     for q in targets:
-        out = apply_single_qubit_gate(out, _HADAMARD, q)
+        out = apply_single_qubit_gate(out, HADAMARD, q)
     return out
 
 
@@ -304,6 +287,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 def reduced_density_matrix(psi: StateVector, keep) -> DensityMatrix:
     """Reduced state of a pure state on the kept qubits (no full outer product)."""
     m = _split_matrix(psi, keep)
+    check_size("density-matrix dimension", m.shape[0], DENSE_DIM)
     return DensityMatrix(int(math.log2(m.shape[0])), m @ m.conj().T)
 
 

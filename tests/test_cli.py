@@ -3,6 +3,7 @@ byte-level reproducibility."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,8 +99,68 @@ def test_large_budget_is_one_draw(capsys):
     args = ["estimate", "--state", "haar:1:1", "--alpha", "2", "--eps", "1e-4", "--delta", "1e-3"]
     assert run_cli(args) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["shots_used"] == payload["budget"]["swap_shots"] > 10**11
+    assert payload["shots_used"] == payload["budget"]["swap_shots"] == 200_000_000_000
+    assert payload["budget"]["copies_of_psi"] == 800_000_000_000
     assert math.isfinite(payload["a_hat"])
+
+
+_COHERENT_ALPHA_13 = [
+    "estimate", "--state", "haar:1:1", "--alpha", "13", "--method", "coherent", "--shots", "0",
+]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        _COHERENT_ALPHA_13,
+        [
+            "estimate", "--state", "haar:1:1", "--alpha", "18", "--method", "coherent",
+            "--shots", "0",
+        ],
+        ["sweep", "--alphas", "18", "--theta-grid", "0:1:1", "--seeds", "1"],
+        ["estimate", "--state", "haar:1:1", "--alpha", "100000", "--method", "exact"],
+        [
+            "complexity", "--state", "haar:2:7", "--methods", "direct_gamma",
+            "--eps", "1e-9", "--delta", "1e-9", "--seeds", "1",
+        ],
+        [
+            "complexity", "--state", "haar:2:7", "--methods", "direct_single_copy",
+            "--eps", "1e-9", "--delta", "1e-9", "--seeds", "1",
+        ],
+    ],
+    ids=["coherent-alpha-13", "coherent-alpha-18", "sweep-alpha-18", "exact-alpha-1e5",
+         "direct-gamma-shots", "direct-single-copy-shots"],
+)
+def test_oversized_request_refused_with_one_line(args, tmp_path, capsys):
+    out = tmp_path / "report"
+    assert run_cli(args + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("size guard:") and captured.err.count("\n") == 1
+
+
+def test_coherent_marginal_refused_before_it_is_allocated(capsys):
+    # the copies marginal at alpha 13 is an 8192 x 8192 complex matrix (1 GiB)
+    tracemalloc.start()
+    try:
+        code = run_cli(_COHERENT_ALPHA_13)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--seeds", "0"], ["--methods", "direct_gamma", "--eps", "0", "--seeds", "1"]],
+    ids=["no-seeds", "zero-eps"],
+)
+def test_complexity_config_error_exits_2(args, capsys):
+    assert run_cli(["complexity"] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_state_file_round_trip(tmp_path):

@@ -16,9 +16,9 @@ from sre_purity.channels import (
     exact_channel_output,
     incoherent_sample,
 )
-from sre_purity.errors import SizeGuardError
+from sre_purity.errors import SHOTS, SizeGuardError
 from sre_purity.estimation import (
-    MAX_SHOTS,
+    budget_ceil,
     copies_required,
     estimate_purity,
     state_overlap,
@@ -55,6 +55,14 @@ def test_budget_linear_in_alpha():
     base = copies_required(1, 4, 0.2, 0.5).copies_of_psi
     for alpha in range(2, 9):
         assert copies_required(alpha, 4, 0.2, 0.5).copies_of_psi == alpha * base
+
+
+def test_budget_is_exact_for_decimal_inputs():
+    # each float is read as the decimal it prints as, so a budget of any size
+    # lands on the exact ceiling
+    assert budget_ceil(1, 0.1, 0.1) == 1000
+    b = copies_required(2, 2, 1e-4, 1e-3)
+    assert (b.copies_of_psi, b.swap_shots) == (8 * 10**11, 2 * 10**11)
 
 
 def test_budget_rejects_out_of_range():
@@ -130,8 +138,8 @@ def test_estimate_purity_rejects_zero_shots():
 def test_estimate_purity_refuses_shots_beyond_int64():
     rng = np.random.default_rng(0)
     with pytest.raises(SizeGuardError):
-        estimate_purity(MAX_MIXED_GAMMA, MAX_SHOTS + 1, rng)
-    gamma, _ = estimate_purity(MAX_MIXED_GAMMA, MAX_SHOTS, rng)
+        estimate_purity(MAX_MIXED_GAMMA, SHOTS + 1, rng)
+    gamma, _ = estimate_purity(MAX_MIXED_GAMMA, SHOTS, rng)
     assert abs(gamma - 0.5) < 1e-6
 
 

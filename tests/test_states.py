@@ -6,6 +6,7 @@ Hadamard layer, literal matrices only).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,20 @@ def test_tensor_power_examples():
 def test_tensor_power_guard():
     with pytest.raises(SizeGuardError):
         tensor_power(random_state(3, 0), 7)
+
+
+def test_dense_guards_fire_before_the_matrix_exists():
+    # a dim-8192 density matrix would take 1 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError):
+            pure_density(zero_state(13))
+        with pytest.raises(SizeGuardError):
+            reduced_density_matrix(zero_state(14), range(13))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
