@@ -56,6 +56,7 @@ from .oracle import (
     closed_form_a,
     is_stabilizer,
     m_alpha_exact,
+    m_from_a,
     pauli_expectations,
     sre_value,
 )
@@ -64,7 +65,6 @@ from .pipeline import (
     EstimateReport,
     EstimationRequest,
     estimate_from_gamma,
-    m_from_a,
     route_gamma,
     run_estimation,
 )

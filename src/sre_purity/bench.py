@@ -12,16 +12,10 @@ import numpy as np
 
 from .channels import PreparationMethod, coherent_prepare
 from .errors import OPERATOR_DIM, PURE_QUBITS, SHOTS, check_size
-from .estimation import budget_ceil
-from .oracle import a_alpha_exact, closed_form_a, m_alpha_exact, pauli_expectations
+from .estimation import budget_ceil, check_targets
+from .oracle import a_alpha_exact, closed_form_a, m_alpha_exact, m_from_a, pauli_expectations
 from .paulis import pauli_from_index
-from .pipeline import (
-    EstimateReport,
-    EstimationRequest,
-    estimate_from_gamma,
-    m_from_a,
-    route_gamma,
-)
+from .pipeline import EstimateReport, EstimationRequest, estimate_from_gamma, route_gamma
 from .states import (
     BipartiteSplit,
     StateVector,
@@ -152,6 +146,9 @@ def sweep_theta(
     The route's gamma is computed once per (theta, alpha); each seed is then
     one swap-test draw from it, exactly as ``run_estimation`` would make.
     """
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    check_targets(epsilon, delta)
     rows = []
     for alpha in alphas:
         for ti, theta in enumerate(theta_grid):
@@ -292,6 +289,8 @@ def complexity_table(
     known = ("swap_purity", "direct_gamma", "direct_single_copy")
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    for epsilon in epsilons:
+        budget_ceil(1, epsilon, delta)  # refuses a non-positive or non-finite target
     rows = []
     for method in methods:
         if method not in known:

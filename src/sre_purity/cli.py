@@ -8,8 +8,9 @@ Exit codes: 0 success, 1 I/O error, 2 parse/config error, 3 size-guard
 violation, 4 verification failure.
 
 Single results are emitted as JSON, tables as CSV (or JSON with --format
-json); both carry a metadata block (tool version, seed, config hash) so runs
-can be audited and reproduced byte-for-byte.  Angles are radians; numbers use
+json); both carry a metadata block (tool version, config echo, config hash)
+so runs can be audited and reproduced byte-for-byte.  The config echo is the
+parsed flags minus --out, --format and --dist.  Angles are radians; numbers use
 dot decimals regardless of locale.
 """
 
@@ -77,13 +78,21 @@ def parse_state_spec(spec: str) -> StateVector:
 def _parse_grid(text: str) -> np.ndarray:
     try:
         start, stop, count = text.split(":")
-        return np.linspace(float(start), float(stop), int(count))
+        ends = float(start), float(stop)
+        if not all(map(math.isfinite, ends)):
+            raise ValueError("non-finite end")  # linspace would warn before phase_state refused it
+        return np.linspace(*ends, int(count))
     except ValueError as exc:
-        raise ValueError(f"bad grid {text!r}, expected start:stop:count") from exc
+        raise ValueError(f"bad grid {text!r}, expected start:stop:count with finite ends") from exc
 
 
 def _parse_int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x]
+
+
+def _config(args) -> dict:
+    """Every parsed flag except the ones that choose how and where a report is written."""
+    return {k: v for k, v in vars(args).items() if k not in ("func", "out", "format", "dist")}
 
 
 def _config_hash(config: dict) -> str:
@@ -111,29 +120,29 @@ def _sanitize(obj):
     return obj
 
 
+def _write(text: str, out: str | None) -> None:
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n", out)
 
 
-def _emit_csv(rows: list[dict], header: list[str], config: dict, out: str | None) -> None:
-    lines = [f"# tool=sre-purity version={__version__}"]
-    lines.append(f"# config_hash={_config_hash(config)}")
-    for key in sorted(config):
-        lines.append(f"# {key}={config[key]}")
+def _emit_table(args, config: dict, header: tuple[str, ...], rows: list[tuple]) -> None:
+    """Rows of values in ``header`` order, as CSV or, with --format json, as JSON."""
+    if args.format == "json":
+        table = [dict(zip(header, row)) for row in rows]
+        _emit_json({"meta": _meta(config), "rows": table}, args.out)
+        return
+    lines = [f"# tool=sre-purity version={__version__}", f"# config_hash={_config_hash(config)}"]
+    lines += [f"# {key}={config[key]}" for key in sorted(config)]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[h]) for h in header))
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    lines += [",".join(_csv_cell(value) for value in row) for row in rows]
+    _write("\n".join(lines) + "\n", args.out)
 
 
 def _csv_cell(value) -> str:
@@ -150,10 +159,9 @@ def _csv_cell(value) -> str:
 
 def cmd_oracle(args) -> int:
     psi = parse_state_spec(args.state)
-    config = {"command": "oracle", "state": args.state, "alpha": args.alpha}
     val = sre_value(psi, args.alpha)
     payload = {
-        "meta": _meta(config),
+        "meta": _meta(_config(args)),
         "state": args.state,
         "n": psi.n,
         "alpha": args.alpha,
@@ -171,17 +179,6 @@ def cmd_oracle(args) -> int:
 
 def cmd_estimate(args) -> int:
     psi = parse_state_spec(args.state)
-    config = {
-        "command": "estimate",
-        "state": args.state,
-        "alpha": args.alpha,
-        "eps": args.eps,
-        "delta": args.delta,
-        "method": args.method,
-        "seed": args.seed,
-        "marginal": args.marginal,
-        "shots": args.shots,
-    }
     req = EstimationRequest(
         state=psi,
         alpha=args.alpha,
@@ -195,7 +192,7 @@ def cmd_estimate(args) -> int:
     )
     report = run_estimation(req)
     budget = copies_required(args.alpha, psi.dim, args.eps, args.delta)
-    payload = {"meta": _meta(config)}
+    payload = {"meta": _meta(_config(args))}
     payload.update(dataclasses.asdict(report))
     payload["m_defined"] = report.m_hat is not None
     payload["budget"] = dataclasses.asdict(budget)
@@ -204,40 +201,16 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    alphas = _parse_int_list(args.alphas)
-    grid = _parse_grid(args.theta_grid)
-    config = {
-        "command": "sweep",
-        "alphas": args.alphas,
-        "theta_grid": args.theta_grid,
-        "eps": args.eps,
-        "delta": args.delta,
-        "seeds": args.seeds,
-        "method": args.method,
-        "seed": args.seed,
-    }
     rows = sweep_theta(
-        alphas, grid, args.eps, args.delta, args.seeds,
-        method=_METHODS[args.method], master_seed=args.seed,
+        _parse_int_list(args.alphas), _parse_grid(args.theta_grid), args.eps, args.delta,
+        args.seeds, method=_METHODS[args.method], master_seed=args.seed,
     )
-    header = ["theta", "alpha", "estimate", "exact", "abs_error", "copies", "seed", "within_eps"]
+    header = ("theta", "alpha", "estimate", "exact", "abs_error", "copies", "seed", "within_eps")
     table = [
-        {
-            "theta": r.theta,
-            "alpha": r.alpha,
-            "estimate": r.a_hat,
-            "exact": r.a_exact,
-            "abs_error": r.abs_error,
-            "copies": r.copies_used,
-            "seed": r.seed,
-            "within_eps": r.within_eps,
-        }
+        (r.theta, r.alpha, r.a_hat, r.a_exact, r.abs_error, r.copies_used, r.seed, r.within_eps)
         for r in rows
     ]
-    if args.format == "json":
-        _emit_json({"meta": _meta(config), "rows": table}, args.out)
-    else:
-        _emit_csv(table, header, config, args.out)
+    _emit_table(args, _config(args), header, table)
     within = sum(r.within_eps for r in rows)
     print(f"sweep: {within}/{len(rows)} points within eps", file=sys.stderr)
     return 0
@@ -254,43 +227,20 @@ def cmd_verify(args) -> int:
 
 def cmd_complexity(args) -> int:
     psi = parse_state_spec(args.state)
-    methods = [m for m in args.methods.split(",") if m]
-    alphas = _parse_int_list(args.alphas)
-    config = {
-        "command": "complexity",
-        "state": args.state,
-        "methods": args.methods,
-        "alphas": args.alphas,
-        "eps": args.eps,
-        "delta": args.delta,
-        "seeds": args.seeds,
-        "seed": args.seed,
-    }
     rows = complexity_table(
-        methods, alphas, [args.eps], args.seeds, psi,
-        delta=args.delta, master_seed=args.seed,
+        [m for m in args.methods.split(",") if m], _parse_int_list(args.alphas), [args.eps],
+        args.seeds, psi, delta=args.delta, master_seed=args.seed,
     )
+    config = _config(args)
     # tomography is never simulated; its known copy bound rides along as a note
     config["footnote"] = (
         "tomography-based estimation of the same observable needs "
         "Theta(d ||O||_inf^2 eps^-2) copies (d^3 eps^-2 for even alpha, "
         "d eps^-2 for odd); not simulated"
     )
-    header = ["method", "alpha", "epsilon", "copies", "empirical_rmse"]
-    table = [
-        {
-            "method": r.method,
-            "alpha": r.alpha,
-            "epsilon": r.epsilon_target,
-            "copies": r.copies,
-            "empirical_rmse": r.empirical_rmse,
-        }
-        for r in rows
-    ]
-    if args.format == "json":
-        _emit_json({"meta": _meta(config), "rows": table}, args.out)
-    else:
-        _emit_csv(table, header, config, args.out)
+    header = ("method", "alpha", "epsilon", "copies", "empirical_rmse")
+    table = [(r.method, r.alpha, r.epsilon_target, r.copies, r.empirical_rmse) for r in rows]
+    _emit_table(args, config, header, table)
     return 0
 
 
@@ -363,6 +313,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SizeGuardError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"size guard: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

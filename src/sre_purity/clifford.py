@@ -25,13 +25,11 @@ def haar_random_state(n: int, rng: np.random.Generator) -> StateVector:
     return StateVector(n, amps / np.linalg.norm(amps))
 
 
-def random_clifford_circuit(n: int, rng: np.random.Generator, depth: int | None = None):
-    """List of (gate_name, qubits) drawn uniformly from {H, S, CNOT}."""
-    if depth is None:
-        depth = 3 * n * n
+def random_clifford_circuit(n: int, rng: np.random.Generator):
+    """List of 3 n^2 (gate_name, qubits) drawn uniformly from {H, S, CNOT}."""
     names = ["H", "S", "CNOT"] if n >= 2 else ["H", "S"]
     circuit = []
-    for _ in range(depth):
+    for _ in range(3 * n * n):
         name = names[rng.integers(len(names))]
         if name == "CNOT":
             c, t = rng.choice(n, size=2, replace=False)

@@ -7,8 +7,8 @@ coherent marginals both preparations are the same state, and for the
 incoherent method the two independently drawn strings j1 and j2 make j1 ^ j2
 uniform, so a shot is 0 with probability (1 + A_alpha/d)/2.  Shots are iid,
 so a run of shots is one binomial draw from gamma (``estimate_purity``).  The
-explicit cSWAP circuit (``swap_test_circuit_p0``) is kept as a validation
-route for that law.
+explicit cSWAP circuit (``swap_test_circuit_p0``) is the reference for that
+law: the tests read 2 p0 - 1 off it and compare it with each route's gamma.
 """
 
 from __future__ import annotations
@@ -70,13 +70,18 @@ class ShotBudget:
             raise ValueError("tau must equal epsilon/d")
 
 
+def check_targets(epsilon: float, delta: float) -> None:
+    """Refuse an additive error or failure probability outside (0, 1]."""
+    if not 0 < epsilon <= 1 or not 0 < delta <= 1:
+        raise ValueError(f"epsilon and delta must lie in (0, 1], got {epsilon}, {delta}")
+
+
 def copies_required(alpha: int, d: int, epsilon: float, delta: float) -> ShotBudget:
     if alpha < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    if not 0 < epsilon <= 1 or not 0 < delta <= 1:
-        raise ValueError(f"epsilon and delta must lie in (0, 1], got {epsilon}, {delta}")
+    check_targets(epsilon, delta)
     copies = budget_ceil(alpha * d * d, epsilon, delta)
     shots = -(-copies // (2 * alpha))
     return ShotBudget(alpha, d, epsilon, delta, epsilon / d, copies, shots)
@@ -120,7 +125,7 @@ def estimate_purity(gamma: float, shots: int, rng) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# explicit cSWAP circuit (validation route)
+# explicit cSWAP circuit (the reference for the shot law)
 
 
 def _controlled_swap(psi: StateVector, control: int, pairs) -> StateVector:

@@ -46,10 +46,22 @@ class SreValue:
     m_alpha: float | None
 
     def __post_init__(self):
-        if self.m_alpha is not None:
-            expected = math.log(self.a_alpha) / (1 - self.alpha)
-            if abs(self.m_alpha - expected) > 1e-12:
-                raise ValueError("m_alpha inconsistent with a_alpha")
+        if not 0 < self.a_alpha < math.inf:
+            raise ValueError(f"a_alpha must be positive and finite, got {self.a_alpha!r}")
+        # negated so that a NaN m_alpha fails the comparison
+        if self.m_alpha is not None and not (
+            abs(self.m_alpha - m_from_a(self.a_alpha, self.alpha)) <= 1e-12
+        ):
+            raise ValueError("m_alpha inconsistent with a_alpha")
+
+
+def m_from_a(a: float, alpha: int) -> float:
+    """M_alpha = ln A_alpha / (1 - alpha), the one formula every M in the package uses."""
+    if alpha < 2:
+        raise ValueError(f"M_alpha needs alpha >= 2, got {alpha}")
+    if a <= 0:
+        raise ValueError(f"a must be positive, got {a}")
+    return math.log(a) / (1 - alpha)
 
 
 def pauli_expectations(psi: StateVector) -> np.ndarray:
@@ -72,12 +84,12 @@ def a_alpha_exact(psi: StateVector, alpha: int) -> float:
 def m_alpha_exact(psi: StateVector, alpha: int) -> float:
     if alpha < 2:
         raise ValueError(f"M_alpha needs alpha >= 2, got {alpha}")
-    return math.log(a_alpha_exact(psi, alpha)) / (1 - alpha)
+    return m_from_a(a_alpha_exact(psi, alpha), alpha)
 
 
 def sre_value(psi: StateVector, alpha: int) -> SreValue:
     a = a_alpha_exact(psi, alpha)
-    m = math.log(a) / (1 - alpha) if alpha >= 2 else None
+    m = m_from_a(a, alpha) if alpha >= 2 else None
     return SreValue(alpha, a, m)
 
 
@@ -88,10 +100,11 @@ def closed_form_a(theta: float, alpha: int) -> float:
     return 0.5 * (1 + math.cos(theta) ** (2 * alpha) + math.sin(theta) ** (2 * alpha))
 
 
-def is_stabilizer(psi: StateVector, tol: float = STABILIZER_TOL) -> bool:
-    """True iff the characteristic distribution is d entries of 1/d, rest 0."""
+def is_stabilizer(psi: StateVector) -> bool:
+    """True iff the characteristic distribution is d entries of 1/d, rest 0
+    (each to within STABILIZER_TOL)."""
     d = psi.dim
     probs = characteristic_distribution(psi).probs
-    at_peak = np.abs(probs - 1.0 / d) <= tol
-    at_zero = np.abs(probs) <= tol
+    at_peak = np.abs(probs - 1.0 / d) <= STABILIZER_TOL
+    at_zero = np.abs(probs) <= STABILIZER_TOL
     return int(at_peak.sum()) == d and int(at_zero.sum()) == d * d - d

@@ -122,10 +122,10 @@ def expectation(p: PauliString, amps: np.ndarray) -> complex:
     return complex(np.vdot(amps, apply_pauli_amps(p, amps)))
 
 
-def expval(p: PauliString, amps: np.ndarray, imag_tol: float = 1e-10) -> float:
+def expval(p: PauliString, amps: np.ndarray) -> float:
     """Real expectation value of a Hermitian string on a normalized state."""
     val = expectation(p, amps)
-    if abs(val.imag) > imag_tol:
+    if abs(val.imag) > 1e-10:
         raise ArithmeticError(
             f"expectation value has imaginary residual {val.imag:.3e} "
             f"(string {p.label()}, phase_exp {p.phase_exp})"

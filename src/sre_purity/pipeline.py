@@ -6,12 +6,11 @@ Each method is a route to the exact purity gamma of its prepared state
 (``estimate_from_gamma``).  The B-register marginal is the default purity
 target for the coherent method; ``marginal="ancilla"`` switches to the
 ancilla marginal (both encode A_alpha).  M_alpha is derived from the
-aggregated a_hat, never per shot.
+aggregated a_hat with ``oracle.m_from_a``, never per shot.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +22,10 @@ from .channels import (
     copies_marginal,
     exact_channel_output,
 )
-from .estimation import copies_required, estimate_purity, swap_test_circuit_p0
-from .oracle import a_alpha_exact
-from .paulis import enumerate_paulis
-from .states import StateVector, apply_pauli, purity, tensor_power
+from .errors import DENSE_DIM, PURE_QUBITS, check_size
+from .estimation import check_targets, copies_required, estimate_purity
+from .oracle import a_alpha_exact, m_from_a
+from .states import StateVector, purity
 
 
 @dataclass(frozen=True)
@@ -40,17 +39,13 @@ class EstimationRequest:
     state_spec: str = ""
     marginal: str = "copies"  # "copies" or "ancilla"; coherent method only
     shots: int | None = None  # None: full budget; 0: the route's exact gamma
-    full_circuit: bool = False  # explicit-cSWAP validation route (n=1, alpha=2)
 
     def __post_init__(self):
         if self.alpha < 1:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
-        if not 0 < self.epsilon <= 1 or not 0 < self.delta <= 1:
-            raise ValueError("epsilon and delta must lie in (0, 1]")
+        check_targets(self.epsilon, self.delta)
         if self.marginal not in ("copies", "ancilla"):
             raise ValueError(f"unknown marginal {self.marginal!r}")
-        if self.full_circuit and (self.state.n != 1 or self.alpha != 2):
-            raise ValueError("full-circuit mode is provided for n=1, alpha=2 only")
 
 
 @dataclass(frozen=True)
@@ -76,43 +71,27 @@ class EstimateReport:
     marginal: str = "copies"
 
 
-def m_from_a(a: float, alpha: int) -> float:
-    if alpha < 2:
-        raise ValueError(f"M_alpha needs alpha >= 2, got {alpha}")
-    if a <= 0:
-        raise ValueError(f"a must be positive, got {a}")
-    return math.log(a) / (1 - alpha)
-
-
 def route_gamma(req: EstimationRequest) -> float:
     """Exact swap-test mean gamma of the request's preparation route.
 
     Each route's shots are iid with P(0) = (1 + gamma)/2, so gamma is all a
     run needs: the exact mixture and the coherent marginals give their
-    purity, the incoherent method gives A_alpha/d (the mean overlap of two
-    independent draws), and ``full_circuit`` reads 2 p0 - 1 off the explicit
-    cSWAP circuit instead, averaged over every pair of incoherent samples.
+    purity, and the incoherent method gives A_alpha/d (the mean overlap of
+    two independent draws).
     """
     psi, alpha, n = req.state, req.alpha, req.state.n
     if req.method is PreparationMethod.EXACT_MIXTURE:
         return purity(exact_channel_output(psi, alpha))
     if req.method is PreparationMethod.COHERENT:
+        # refuse the register, then the marginal, before allocating either
+        check_size("pure-state qubits", (alpha + 2) * n, PURE_QUBITS)
+        kept = alpha * n if req.marginal == "copies" else 2 * n
+        check_size("density-matrix dimension", 1 << kept, DENSE_DIM)
         prepared = coherent_prepare(psi, alpha)
-        if req.full_circuit:
-            keep = (
-                range(alpha * n)
-                if req.marginal == "copies"
-                else range(alpha * n, (alpha + 2) * n)
-            )
-            return 2.0 * swap_test_circuit_p0(prepared, prepared, list(keep)) - 1.0
         if req.marginal == "ancilla":
             return purity(ancilla_marginal_of(prepared, n, alpha))
         return purity(copies_marginal(prepared, n, alpha))
     if req.method is PreparationMethod.INCOHERENT:
-        if req.full_circuit:
-            samples = [tensor_power(apply_pauli(p, psi), alpha) for p in enumerate_paulis(n)]
-            p0 = [swap_test_circuit_p0(a, b) for a in samples for b in samples]
-            return 2.0 * float(np.mean(p0)) - 1.0
         return a_alpha_exact(psi, alpha) / psi.dim
     raise ValueError(f"unknown method {req.method!r}")
 

@@ -142,6 +142,8 @@ def zero_state(n: int) -> StateVector:
 
 def phase_state(theta: float) -> StateVector:
     """Single-qubit benchmark state (|0> + e^{i theta}|1>)/sqrt(2)."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     return StateVector(1, np.array([1.0, np.exp(1j * theta)]) / math.sqrt(2))
 
 

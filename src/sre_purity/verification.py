@@ -71,11 +71,11 @@ def _result(name: str, worst: float, tol: float, detail: str = "") -> CheckResul
 # normalization (distribution is a probability vector)
 
 
-def check_normalization(seed: int = 11, states_per_n: int = 100) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_normalization() -> CheckResult:
+    rng = np.random.default_rng(11)
     worst = 0.0
     for n in (1, 2, 3):
-        for _ in range(states_per_n):
+        for _ in range(100):
             probs = characteristic_distribution(haar_random_state(n, rng)).probs
             worst = max(worst, abs(float(probs.sum()) - 1.0), -float(probs.min()))
     return _result("characteristic distribution normalization", worst, 1e-10)
@@ -85,12 +85,12 @@ def check_normalization(seed: int = 11, states_per_n: int = 100) -> CheckResult:
 # monotone axioms
 
 
-def check_faithfulness(seed: int = 12, n_clifford: int = 20) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_faithfulness() -> CheckResult:
+    rng = np.random.default_rng(12)
     worst = 0.0
     for psi in single_qubit_stabilizer_states().values():
         worst = max(worst, m_alpha_exact(psi, 2))
-    for _ in range(n_clifford):
+    for _ in range(20):
         worst = max(worst, m_alpha_exact(random_clifford_state(2, rng), 2))
     # strictly positive away from the stabilizer angles
     floor = min(
@@ -101,10 +101,10 @@ def check_faithfulness(seed: int = 12, n_clifford: int = 20) -> CheckResult:
     return CheckResult("faithfulness of M_alpha", ok, float(worst), 1e-12, detail)
 
 
-def check_clifford_invariance(seed: int = 13, n_circuits: int = 20) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_clifford_invariance() -> CheckResult:
+    rng = np.random.default_rng(13)
     worst = 0.0
-    for _ in range(n_circuits):
+    for _ in range(20):
         n = int(rng.integers(1, 3))
         psi = haar_random_state(n, rng)
         circuit = random_clifford_circuit(n, rng)
@@ -119,10 +119,10 @@ def check_clifford_invariance(seed: int = 13, n_circuits: int = 20) -> CheckResu
     return _result("Clifford invariance of M_alpha", worst, 1e-10)
 
 
-def check_additivity(seed: int = 14, n_pairs: int = 20) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_additivity() -> CheckResult:
+    rng = np.random.default_rng(14)
     worst = 0.0
-    for _ in range(n_pairs):
+    for _ in range(20):
         a = haar_random_state(1, rng)
         b = haar_random_state(int(rng.integers(1, 3)), rng)
         prod = StateVector(a.n + b.n, np.kron(a.amps, b.amps))
@@ -149,9 +149,9 @@ def _haar_states(seed: int, per_combo: int):
             yield n, alpha, haar_random_state(n, rng)
 
 
-def check_purity_encoding(seed: int = 15, per_combo: int = 50) -> CheckResult:
+def check_purity_encoding() -> CheckResult:
     worst = 0.0
-    for n, alpha, psi in _haar_states(seed, per_combo):
+    for n, alpha, psi in _haar_states(15, 50):
         residual = abs(
             psi.dim * purity(exact_channel_output(psi, alpha)) - a_alpha_exact(psi, alpha)
         )
@@ -159,9 +159,9 @@ def check_purity_encoding(seed: int = 15, per_combo: int = 50) -> CheckResult:
     return _result("purity encoding d*tr[out^2] = A_alpha", worst, 1e-10)
 
 
-def check_local_twirl(seed: int = 16, per_combo: int = 10) -> CheckResult:
+def check_local_twirl() -> CheckResult:
     worst = 0.0
-    for n, alpha, psi in _haar_states(seed, per_combo):
+    for n, alpha, psi in _haar_states(16, 10):
         out = exact_channel_output(psi, alpha)
         eye = np.eye(psi.dim) / psi.dim
         for i in range(1, alpha + 1):
@@ -171,9 +171,9 @@ def check_local_twirl(seed: int = 16, per_combo: int = 10) -> CheckResult:
     return _result("local twirl: every single-copy marginal is I/d", worst, 1e-10)
 
 
-def check_marginal_consistency(seed: int = 17, per_combo: int = 10) -> CheckResult:
+def check_marginal_consistency() -> CheckResult:
     worst = 0.0
-    for n, alpha, psi in _haar_states(seed, per_combo):
+    for n, alpha, psi in _haar_states(17, 10):
         if alpha < 2:
             continue
         out = exact_channel_output(psi, alpha)
@@ -185,10 +185,10 @@ def check_marginal_consistency(seed: int = 17, per_combo: int = 10) -> CheckResu
     return _result("tracing copies reduces alpha in the channel output", worst, 1e-10)
 
 
-def check_coherent_equivalence(seed: int = 15, per_combo: int = 50) -> CheckResult:
+def check_coherent_equivalence() -> CheckResult:
     """Same state set as the purity-encoding check (seed shared on purpose)."""
     worst = 0.0
-    for n, alpha, psi in _haar_states(seed, per_combo):
+    for n, alpha, psi in _haar_states(15, 50):
         prepared = coherent_prepare(psi, alpha)
         diff = np.abs(
             copies_marginal(prepared, n, alpha).mat - exact_channel_output(psi, alpha).mat
@@ -204,12 +204,12 @@ def check_coherent_equivalence(seed: int = 15, per_combo: int = 50) -> CheckResu
 # replica trick and norms
 
 
-def check_replica_identity(seed: int = 18, per_combo: int = 20) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_replica_identity() -> CheckResult:
+    rng = np.random.default_rng(18)
     worst = 0.0
     for n in (1, 2):
         for alpha in (1, 2, 3):
-            for _ in range(per_combo):
+            for _ in range(20):
                 psi = haar_random_state(n, rng)
                 worst = max(
                     worst,
@@ -238,9 +238,9 @@ def check_gamma_norms() -> CheckResult:
 # entanglement identity
 
 
-def check_entanglement_identity(seed: int = 15, per_combo: int = 50) -> CheckResult:
+def check_entanglement_identity() -> CheckResult:
     worst = 0.0
-    for n, alpha, psi in _haar_states(seed, per_combo):
+    for n, alpha, psi in _haar_states(15, 50):
         worst = max(worst, entanglement_identity_residual(psi, alpha))
     # stabilizer input: all the entanglement, none of the magic
     for alpha in (1, 2, 3):

@@ -61,7 +61,7 @@ def test_criterion_1_benchmark_sweep():
 
 
 def test_criterion_2_purity_encoding():
-    res = check_purity_encoding(per_combo=50)
+    res = check_purity_encoding()
     _criterion(
         2,
         "purity encoding |d*purity(channel output) - A_alpha| < 1e-10",
@@ -71,7 +71,7 @@ def test_criterion_2_purity_encoding():
 
 
 def test_criterion_3_coherent_exact_equivalence():
-    res = check_coherent_equivalence(per_combo=50)
+    res = check_coherent_equivalence()
     _criterion(
         3,
         "coherent preparation: copy marginal = channel output, ancilla purity = A_alpha/d (< 1e-10)",
@@ -81,7 +81,7 @@ def test_criterion_3_coherent_exact_equivalence():
 
 
 def test_criterion_4_entanglement_identity():
-    res = check_entanglement_identity(per_combo=50)
+    res = check_entanglement_identity()
     _criterion(
         4,
         "entanglement identity residual < 1e-9 (alpha in {1,2,3})",
@@ -91,7 +91,7 @@ def test_criterion_4_entanglement_identity():
 
 
 def test_criterion_5_replica_identity():
-    res = check_replica_identity(per_combo=20)
+    res = check_replica_identity()
     swap = check_gamma_swap()
     _criterion(
         5,
@@ -112,9 +112,9 @@ def test_criterion_6_gamma_norm_parity():
 
 
 def test_criterion_7_monotone_axioms():
-    faith = check_faithfulness(n_clifford=20)
-    inv = check_clifford_invariance(n_circuits=20)
-    add = check_additivity(n_pairs=20)
+    faith = check_faithfulness()
+    inv = check_clifford_invariance()
+    add = check_additivity()
     _criterion(
         7,
         "monotone axioms: faithfulness < 1e-12, Clifford invariance < 1e-10, additivity < 1e-10",

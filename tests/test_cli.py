@@ -4,12 +4,14 @@ byte-level reproducibility."""
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+import sre_purity.cli as cli
 import sre_purity.verification as verification
-from sre_purity.cli import main, parse_state_spec
+from sre_purity.cli import build_parser, main, parse_state_spec
 
 
 def run_cli(args):
@@ -140,27 +142,96 @@ def test_oversized_request_refused_with_one_line(args, tmp_path, capsys):
 
 
 def test_coherent_marginal_refused_before_it_is_allocated(capsys):
-    # the copies marginal at alpha 13 is an 8192 x 8192 complex matrix (1 GiB)
-    tracemalloc.start()
-    try:
-        code = run_cli(_COHERENT_ALPHA_13)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 3
-    assert peak < 64 * 2**20
+    # copies marginals of dimension 2^13 and 2^18 (15- and 20-qubit registers)
+    # and 2^14 (haar:2:1 at alpha 7, an 18-qubit register)
+    coherent = ["--method", "coherent", "--shots", "0"]
+    for args in (
+        _COHERENT_ALPHA_13,
+        ["estimate", "--state", "haar:1:1", "--alpha", "18"] + coherent,
+        ["estimate", "--state", "haar:2:1", "--alpha", "7"] + coherent,
+    ):
+        tracemalloc.start()
+        try:
+            code = run_cli(args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3, args
+        assert peak < 4 * 2**20, (args, peak)
+
+
+def test_memory_error_exits_3_with_one_line(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 1.00 TiB for an array")
+
+    monkeypatch.setattr(cli, "run_suite", exhausted)
+    assert run_cli(["verify", "--suite", "replica"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "size guard: Unable to allocate 1.00 TiB for an array\n"
 
 
 @pytest.mark.parametrize(
     "args",
-    [["--seeds", "0"], ["--methods", "direct_gamma", "--eps", "0", "--seeds", "1"]],
-    ids=["no-seeds", "zero-eps"],
+    [
+        ["--seeds", "0"],
+        ["--methods", "direct_gamma", "--eps", "0", "--seeds", "1"],
+        ["--methods", "", "--eps", "7", "--delta", "-1"],
+    ],
+    ids=["no-seeds", "zero-eps", "no-rows-bad-targets"],
 )
 def test_complexity_config_error_exits_2(args, capsys):
     assert run_cli(["complexity"] + args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--seeds", "0"],
+        ["sweep", "--alphas", "", "--eps", "nan", "--delta", "inf"],
+        ["sweep", "--alphas", "2", "--eps", "1.5"],
+        ["estimate", "--state", "theta:inf", "--alpha", "2"],
+        ["sweep", "--alphas", "2", "--theta-grid", "0:inf:2", "--seeds", "1"],
+    ],
+    ids=["sweep-no-seeds", "sweep-no-rows-bad-targets", "sweep-eps-above-1", "theta-inf",
+         "sweep-theta-inf"],
+)
+def test_config_error_exits_2_before_any_row(args, tmp_path, capsys):
+    out = tmp_path / "report"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be a second stderr line
+        assert run_cli(args + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,config_hash",
+    [
+        (["oracle", "--state", "haar:3:5", "--alpha", "2", "--dist"], "853488b37710"),
+        (["estimate", "--state", "haar:2:7", "--alpha", "2", "--seed", "1"], "d306489f3767"),
+        (["sweep", "--alphas", "2", "--theta-grid", "0:1:2", "--seeds", "1", "--format", "json"],
+         "7ded8f7394b4"),
+        (["complexity", "--seeds", "2", "--format", "json"], "b03e63909e9b"),
+    ],
+    ids=["oracle", "estimate", "sweep", "complexity"],
+)
+def test_report_config_is_the_parsed_flags(argv, config_hash, tmp_path):
+    # the echo holds every flag but the ones that choose how and where the
+    # report is written, so its hash names the numbers, not the file
+    out = tmp_path / "report.json"
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    meta = json.loads(out.read_text())["meta"]
+    config = dict(meta["config"])
+    if argv[0] == "complexity":
+        assert config.pop("footnote").startswith("tomography-based estimation")
+    parsed = vars(build_parser().parse_args(argv))
+    assert config == {k: v for k, v in parsed.items() if k not in ("func", "out", "format", "dist")}
+    assert meta["config_hash"] == config_hash
 
 
 def test_state_file_round_trip(tmp_path):

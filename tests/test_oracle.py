@@ -200,3 +200,8 @@ def test_sre_value_consistency():
     assert val.m_alpha == pytest.approx(math.log(4 / 3), abs=1e-12)
     with pytest.raises(ValueError):
         SreValue(2, 0.75, 0.5)  # inconsistent pair
+    nan, inf = float("nan"), float("inf")
+    for a_alpha, m_alpha in [(nan, nan), (nan, None), (inf, None), (0.0, None), (-1.0, None),
+                             (0.75, nan)]:
+        with pytest.raises(ValueError):
+            SreValue(2, a_alpha, m_alpha)

@@ -3,13 +3,16 @@ method equivalence, and post-processing of the entropy from the estimate."""
 
 import math
 
+import numpy as np
 import pytest
 
 import sre_purity.pipeline as pipeline
-from sre_purity.channels import PreparationMethod
+from sre_purity.channels import PreparationMethod, coherent_prepare
+from sre_purity.estimation import swap_test_circuit_p0
 from sre_purity.oracle import a_alpha_exact, closed_form_a
+from sre_purity.paulis import enumerate_paulis
 from sre_purity.pipeline import EstimationRequest, m_from_a, route_gamma, run_estimation
-from sre_purity.states import phase_state, zero_state
+from sre_purity.states import apply_pauli, phase_state, tensor_power, zero_state
 
 PI4 = math.pi / 4
 
@@ -106,12 +109,17 @@ def test_ancilla_marginal_flag():
     assert abs(rep.a_hat - 0.75) <= 0.05
 
 
-def test_full_circuit_route_agrees_with_static_source():
-    # the coherent full-circuit route reads the same gamma off the explicit
-    # circuit and makes the same seeded draw, so reports coincide exactly
-    normal = run_estimation(_request(seed=21, shots=400))
-    circuit = run_estimation(_request(seed=21, shots=400, full_circuit=True))
-    assert normal.gamma_hat == circuit.gamma_hat
+def _circuit_gamma(psi, alpha, method, marginal):
+    """2 p0 - 1 read off the explicit cSWAP circuit on the route's preparations."""
+    n = psi.n
+    if method is PreparationMethod.INCOHERENT:
+        # every pair of incoherent samples, equally likely
+        samples = [tensor_power(apply_pauli(p, psi), alpha) for p in enumerate_paulis(n)]
+        p0 = [swap_test_circuit_p0(a, b) for a in samples for b in samples]
+        return 2.0 * float(np.mean(p0)) - 1.0
+    prepared = coherent_prepare(psi, alpha)
+    keep = range(alpha * n) if marginal == "copies" else range(alpha * n, (alpha + 2) * n)
+    return 2.0 * swap_test_circuit_p0(prepared, prepared, list(keep)) - 1.0
 
 
 @pytest.mark.parametrize(
@@ -125,7 +133,7 @@ def test_full_circuit_route_agrees_with_static_source():
 def test_full_circuit_gamma_matches_route(method, marginal):
     psi = phase_state(0.9)
     req = _request(state=psi, method=method, marginal=marginal)
-    circuit = route_gamma(_request(state=psi, method=method, marginal=marginal, full_circuit=True))
+    circuit = _circuit_gamma(psi, 2, method, marginal)
     assert circuit == pytest.approx(route_gamma(req), abs=1e-12)
     assert circuit == pytest.approx(a_alpha_exact(psi, 2) / 2, abs=1e-12)
 
@@ -138,11 +146,6 @@ def test_zero_shot_mode_uses_the_selected_route(monkeypatch):
     for method in (PreparationMethod.COHERENT, PreparationMethod.INCOHERENT):
         rep = run_estimation(_request(method=method, shots=0))
         assert rep.a_hat == pytest.approx(0.75, abs=1e-12)
-
-
-def test_full_circuit_flag_guarded():
-    with pytest.raises(ValueError):
-        _request(alpha=3, full_circuit=True)
 
 
 def test_request_validation():
