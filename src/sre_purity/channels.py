@@ -4,8 +4,8 @@ The channel applies every Pauli string with probability d^{-2} to all alpha
 copies of a pure input state.  Its output encodes A_alpha into the purity:
 d * tr[output^2] = A_alpha.  Three routes are provided:
 
-* ``exact_channel_output`` — the d^2-term mixture, accumulated one pure term
-  at a time (the dense sum is never stored term-by-term);
+* ``exact_channel_output`` — the d^2-term mixture R^T R* / d^2, where row j
+  of R is (P_j psi)^{(x) alpha}, built from the Pauli images of psi;
 * ``coherent_prepare`` — the ancilla circuit: 2n ancillas in uniform
   superposition controlling the string applied to every copy;
 * ``incoherent_sample`` — one uniformly drawn string applied to all copies.
@@ -20,8 +20,7 @@ import enum
 import numpy as np
 
 from .errors import DENSE_DIM, PURE_QUBITS, check_size
-from .oracle import pauli_expectations
-from .paulis import enumerate_paulis, pauli_from_index
+from .paulis import pauli_from_index, pauli_images
 from .states import (
     DensityMatrix,
     StateVector,
@@ -54,10 +53,18 @@ def exact_channel_output(psi: StateVector, alpha: int) -> DensityMatrix:
     dim = 1 << (alpha * n)
     check_size("density-matrix dimension", dim, DENSE_DIM)
     out = np.zeros((dim, dim), dtype=complex)
-    for p in enumerate_paulis(n):
-        term = tensor_power(apply_pauli(p, psi), alpha).amps
-        out += np.outer(term, term.conj())
-    return DensityMatrix(alpha * n, out / d**2)
+    # blocks of at most dim strings, so no block outgrows the output; only
+    # alpha = 1 (d^2 strings, dim = d) takes more than one
+    for start in range(0, d * d, dim):
+        images = pauli_images(psi.amps, np.arange(start, min(start + dim, d * d)))
+        rows = images
+        for _ in range(alpha - 1):
+            # row-wise Kronecker product: row j becomes (P_j psi)^{(x) k}
+            rows = (rows[:, :, None] * images[:, None, :]).reshape(len(images), -1)
+        out += rows.T @ rows.conj()
+    del images, rows
+    out /= d * d
+    return DensityMatrix(alpha * n, out)
 
 
 def coherent_layout(n: int, alpha: int):
@@ -98,25 +105,15 @@ def ancilla_marginal_of(prepared: StateVector, n: int, alpha: int) -> DensityMat
 def ancilla_marginal(psi: StateVector, alpha: int) -> DensityMatrix:
     """Ancilla reduced state by direct formula: d^{-2} tr[P_j P_i psi]^alpha |i><j|.
 
-    Cross-checked in tests against tracing the coherent preparation; its
-    purity is d^{-1} A_alpha as well.
+    With T the images P_i psi of all d^2 strings as rows, tr[P_j P_i psi] is
+    entry (i, j) of T T^dagger.  Cross-checked in tests against tracing the
+    coherent preparation; its purity is d^{-1} A_alpha as well.
     """
     _check_alpha(alpha)
     n, d = psi.n, psi.dim
     check_size("density-matrix dimension", d * d, DENSE_DIM)
-    e = pauli_expectations(psi)
-    idx = np.arange(d * d)
-    x_mask = idx & (d - 1)
-    z_mask = idx >> n
-    canon_phase = np.bitwise_count(x_mask & z_mask) % 4
-    # rows are i, columns j; P_j P_i = i^theta P_{i^j} with
-    # theta = pe_j + pe_i + 2 |z_j & x_i| - pe_{i^j}  (mod 4)
-    row_i, col_j = np.meshgrid(idx, idx, indexing="ij")
-    swaps = np.bitwise_count(z_mask[col_j] & x_mask[row_i])
-    theta = (canon_phase[col_j] + canon_phase[row_i] + 2 * swaps - canon_phase[row_i ^ col_j]) % 4
-    phases = np.array([1.0, 1.0j, -1.0, -1.0j])[theta]
-    mat = (phases * e[row_i ^ col_j]) ** alpha
-    return DensityMatrix(2 * n, mat / d**2)
+    images = pauli_images(psi.amps, np.arange(d * d))
+    return DensityMatrix(2 * n, (images @ images.conj().T) ** alpha / (d * d))
 
 
 def incoherent_sample(psi: StateVector, alpha: int, rng: np.random.Generator) -> StateVector:

@@ -269,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--method", choices=sorted(_METHODS), default="coherent")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--marginal", choices=["copies", "ancilla"], default="copies")
+    p.add_argument("--marginal", choices=["copies", "ancilla"], default="copies",
+                   help="coherent method: the register the swap test acts on "
+                        "(both give the same purity)")
     p.add_argument("--shots", type=int, default=None,
                    help="override the budget (0 = analytic, no sampling)")
     p.add_argument("--out")

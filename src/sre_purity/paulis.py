@@ -117,6 +117,27 @@ def apply_pauli_amps(p: PauliString, amps: np.ndarray) -> np.ndarray:
     return p.phase * signs * amps[src]
 
 
+def pauli_images(amps: np.ndarray, indices) -> np.ndarray:
+    """Row k is P_j amps for the canonical Hermitian string j = indices[k].
+
+    The batched form of ``apply_pauli_amps``: one gather at arange(d) ^ x,
+    signs (-1)^|src & z| and the canonical phase i^|x & z|.
+    """
+    dim = amps.shape[0]
+    n = dim.bit_length() - 1
+    check_size("Pauli-string qubits", n, PAULI_QUBITS)
+    if amps.shape != (1 << n,):
+        raise DimensionError(f"amplitude vector of shape {amps.shape} is not 2^n long")
+    j = np.asarray(indices, dtype=np.int64)[:, None]
+    if j.size and not (0 <= j.min() and j.max() < dim * dim):
+        raise ValueError(f"Pauli indices out of range for n={n}")
+    x, z = j & (dim - 1), j >> n
+    src = np.arange(dim) ^ x
+    signs = 1.0 - 2.0 * (np.bitwise_count(src & z) & 1)
+    phases = np.array([1.0, 1.0j, -1.0, -1.0j])[np.bitwise_count(x & z) & 3]
+    return phases * signs * amps[src]
+
+
 def expectation(p: PauliString, amps: np.ndarray) -> complex:
     """<psi|P|psi> as a complex number (P need not be Hermitian-canonical)."""
     return complex(np.vdot(amps, apply_pauli_amps(p, amps)))

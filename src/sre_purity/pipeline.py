@@ -3,10 +3,10 @@ to an estimate of A_alpha and M_alpha.
 
 Each method is a route to the exact purity gamma of its prepared state
 (``route_gamma``); a run is then one binomial swap-test draw from gamma
-(``estimate_from_gamma``).  The B-register marginal is the default purity
-target for the coherent method; ``marginal="ancilla"`` switches to the
-ancilla marginal (both encode A_alpha).  M_alpha is derived from the
-aggregated a_hat with ``oracle.m_from_a``, never per shot.
+(``estimate_from_gamma``).  The coherent preparation is pure, so its copies
+and ancilla marginals have one purity; the route squares the smaller one, and
+``marginal`` only names the register the swap test acts on.  M_alpha is
+derived from the aggregated a_hat with ``oracle.m_from_a``, never per shot.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .channels import (
     copies_marginal,
     exact_channel_output,
 )
-from .errors import DENSE_DIM, PURE_QUBITS, check_size
 from .estimation import check_targets, copies_required, estimate_purity
 from .oracle import a_alpha_exact, m_from_a
 from .states import StateVector, purity
@@ -37,7 +36,7 @@ class EstimationRequest:
     method: PreparationMethod
     seed: int
     state_spec: str = ""
-    marginal: str = "copies"  # "copies" or "ancilla"; coherent method only
+    marginal: str = "copies"  # "copies" or "ancilla": the swap test's register
     shots: int | None = None  # None: full budget; 0: the route's exact gamma
 
     def __post_init__(self):
@@ -75,22 +74,20 @@ def route_gamma(req: EstimationRequest) -> float:
     """Exact swap-test mean gamma of the request's preparation route.
 
     Each route's shots are iid with P(0) = (1 + gamma)/2, so gamma is all a
-    run needs: the exact mixture and the coherent marginals give their
-    purity, and the incoherent method gives A_alpha/d (the mean overlap of
-    two independent draws).
+    run needs: the exact mixture gives its purity, the coherent preparation
+    the purity of its smaller marginal (both marginals of a pure state have
+    the same), and the incoherent method A_alpha/d (the mean overlap of two
+    independent draws).
     """
     psi, alpha, n = req.state, req.alpha, req.state.n
     if req.method is PreparationMethod.EXACT_MIXTURE:
         return purity(exact_channel_output(psi, alpha))
     if req.method is PreparationMethod.COHERENT:
-        # refuse the register, then the marginal, before allocating either
-        check_size("pure-state qubits", (alpha + 2) * n, PURE_QUBITS)
-        kept = alpha * n if req.marginal == "copies" else 2 * n
-        check_size("density-matrix dimension", 1 << kept, DENSE_DIM)
         prepared = coherent_prepare(psi, alpha)
-        if req.marginal == "ancilla":
-            return purity(ancilla_marginal_of(prepared, n, alpha))
-        return purity(copies_marginal(prepared, n, alpha))
+        # copies: alpha n qubits, ancilla: 2n
+        if alpha <= 2:
+            return purity(copies_marginal(prepared, n, alpha))
+        return purity(ancilla_marginal_of(prepared, n, alpha))
     if req.method is PreparationMethod.INCOHERENT:
         return a_alpha_exact(psi, alpha) / psi.dim
     raise ValueError(f"unknown method {req.method!r}")

@@ -91,7 +91,7 @@ def test_zero_state_alpha_two_explicit_mixture():
     assert np.abs(out.mat - brute_force_channel(zero_state(1).amps, 2)).max() < 1e-12
 
 
-@pytest.mark.parametrize("n,alpha", [(1, 2), (1, 3), (2, 2)])
+@pytest.mark.parametrize("n,alpha", [(1, 2), (1, 3), (2, 2), (2, 1), (3, 1), (2, 3)])
 def test_channel_matches_brute_force(n, alpha):
     rng = np.random.default_rng(10 * n + alpha)
     psi = haar_random_state(n, rng)

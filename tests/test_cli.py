@@ -12,6 +12,7 @@ import pytest
 import sre_purity.cli as cli
 import sre_purity.verification as verification
 from sre_purity.cli import build_parser, main, parse_state_spec
+from sre_purity.oracle import a_alpha_exact
 
 
 def run_cli(args):
@@ -106,20 +107,18 @@ def test_large_budget_is_one_draw(capsys):
     assert math.isfinite(payload["a_hat"])
 
 
-_COHERENT_ALPHA_13 = [
-    "estimate", "--state", "haar:1:1", "--alpha", "13", "--method", "coherent", "--shots", "0",
+# inputs one qubit past the 20-qubit register the coherent route prepares:
+# (2 + alpha) n = 21 and 22
+_OVERSIZED_REGISTERS = [
+    ["estimate", "--state", "haar:1:1", "--alpha", "19", "--method", "coherent", "--shots", "0"],
+    ["estimate", "--state", "haar:2:1", "--alpha", "9", "--method", "coherent", "--shots", "0"],
+    ["sweep", "--alphas", "19", "--theta-grid", "0:1:1", "--seeds", "1"],
 ]
 
 
 @pytest.mark.parametrize(
     "args",
-    [
-        _COHERENT_ALPHA_13,
-        [
-            "estimate", "--state", "haar:1:1", "--alpha", "18", "--method", "coherent",
-            "--shots", "0",
-        ],
-        ["sweep", "--alphas", "18", "--theta-grid", "0:1:1", "--seeds", "1"],
+    _OVERSIZED_REGISTERS + [
         ["estimate", "--state", "haar:1:1", "--alpha", "100000", "--method", "exact"],
         [
             "complexity", "--state", "haar:2:7", "--methods", "direct_gamma",
@@ -130,7 +129,7 @@ _COHERENT_ALPHA_13 = [
             "--eps", "1e-9", "--delta", "1e-9", "--seeds", "1",
         ],
     ],
-    ids=["coherent-alpha-13", "coherent-alpha-18", "sweep-alpha-18", "exact-alpha-1e5",
+    ids=["coherent-alpha-19", "coherent-n2-alpha-9", "sweep-alpha-19", "exact-alpha-1e5",
          "direct-gamma-shots", "direct-single-copy-shots"],
 )
 def test_oversized_request_refused_with_one_line(args, tmp_path, capsys):
@@ -142,22 +141,29 @@ def test_oversized_request_refused_with_one_line(args, tmp_path, capsys):
 
 
 def test_coherent_marginal_refused_before_it_is_allocated(capsys):
-    # copies marginals of dimension 2^13 and 2^18 (15- and 20-qubit registers)
-    # and 2^14 (haar:2:1 at alpha 7, an 18-qubit register)
-    coherent = ["--method", "coherent", "--shots", "0"]
-    for args in (
-        _COHERENT_ALPHA_13,
-        ["estimate", "--state", "haar:1:1", "--alpha", "18"] + coherent,
-        ["estimate", "--state", "haar:2:1", "--alpha", "7"] + coherent,
-    ):
+    # the register is refused before it, or either marginal, is allocated
+    for args in _OVERSIZED_REGISTERS:
         tracemalloc.start()
         try:
             code = run_cli(args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        err = capsys.readouterr().err
         assert code == 3, args
+        assert err.startswith("size guard:") and err.count("\n") == 1, (args, err)
         assert peak < 4 * 2**20, (args, peak)
+
+
+@pytest.mark.parametrize("spec,alpha", [("haar:1:1", 13), ("haar:1:1", 18), ("haar:2:1", 7)])
+def test_coherent_route_fits_every_register_the_guard_allows(spec, alpha, capsys):
+    # the route squares the smaller marginal, at most 2^10 on a 20-qubit register
+    args = ["estimate", "--state", spec, "--alpha", str(alpha), "--method", "coherent",
+            "--shots", "0"]
+    assert run_cli(args) == 0
+    payload = json.loads(capsys.readouterr().out)
+    psi = parse_state_spec(spec)
+    assert payload["gamma_hat"] == pytest.approx(a_alpha_exact(psi, alpha) / psi.dim, abs=1e-12)
 
 
 def test_memory_error_exits_3_with_one_line(monkeypatch, capsys):

@@ -19,6 +19,7 @@ from sre_purity.paulis import (
     enumerate_paulis,
     expval,
     pauli_from_index,
+    pauli_images,
     pauli_mul,
 )
 
@@ -133,6 +134,9 @@ def test_apply_matches_dense_and_preserves_norm(n):
         out = apply_pauli_amps(p, amps)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
         assert np.abs(out - dense_from_label(p.label()) @ amps).max() < 1e-12
+    images = pauli_images(amps, np.arange(4**n))
+    for j, row in enumerate(images):
+        assert np.abs(row - pauli_from_index(n, j).to_dense() @ amps).max() < 1e-12
 
 
 def test_expval_examples():

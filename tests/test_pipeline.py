@@ -7,12 +7,19 @@ import numpy as np
 import pytest
 
 import sre_purity.pipeline as pipeline
-from sre_purity.channels import PreparationMethod, coherent_prepare
+from sre_purity.channels import (
+    PreparationMethod,
+    ancilla_marginal_of,
+    coherent_prepare,
+    copies_marginal,
+)
+from sre_purity.clifford import haar_random_state
+from sre_purity.errors import DENSE_DIM, PURE_QUBITS
 from sre_purity.estimation import swap_test_circuit_p0
 from sre_purity.oracle import a_alpha_exact, closed_form_a
 from sre_purity.paulis import enumerate_paulis
 from sre_purity.pipeline import EstimationRequest, m_from_a, route_gamma, run_estimation
-from sre_purity.states import apply_pauli, phase_state, tensor_power, zero_state
+from sre_purity.states import apply_pauli, phase_state, purity, tensor_power, zero_state
 
 PI4 = math.pi / 4
 
@@ -136,6 +143,26 @@ def test_full_circuit_gamma_matches_route(method, marginal):
     circuit = _circuit_gamma(psi, 2, method, marginal)
     assert circuit == pytest.approx(route_gamma(req), abs=1e-12)
     assert circuit == pytest.approx(a_alpha_exact(psi, 2) / 2, abs=1e-12)
+
+
+# every (n, alpha) whose coherent register and both marginals pass the size guards
+_BOTH_MARGINALS_FIT = [
+    (n, alpha)
+    for n in range(1, 7)
+    for alpha in range(1, 13)
+    if (alpha + 2) * n <= PURE_QUBITS and 1 << max(alpha * n, 2 * n) <= DENSE_DIM
+]
+
+
+@pytest.mark.parametrize("n,alpha", _BOTH_MARGINALS_FIT)
+def test_coherent_gamma_is_the_purity_of_either_marginal(n, alpha):
+    # the preparation is pure, so the route may square whichever marginal is smaller
+    psi = haar_random_state(n, np.random.default_rng(100 * n + alpha))
+    gamma = route_gamma(_request(state=psi, alpha=alpha))
+    prepared = coherent_prepare(psi, alpha)
+    assert gamma == pytest.approx(purity(copies_marginal(prepared, n, alpha)), abs=1e-12)
+    assert gamma == pytest.approx(purity(ancilla_marginal_of(prepared, n, alpha)), abs=1e-12)
+    assert gamma == pytest.approx(a_alpha_exact(psi, alpha) / psi.dim, abs=1e-12)
 
 
 def test_zero_shot_mode_uses_the_selected_route(monkeypatch):
