@@ -29,24 +29,9 @@ from .states import (
 # replica-trick observable
 
 
-@dataclass(frozen=True, eq=False)
-class ReplicaObservable:
-    """Hermitian operator on 2 alpha qubits whose n-fold tensor power has
-    expectation A_alpha on 2 alpha state copies."""
-
-    alpha: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.ascontiguousarray(self.matrix)
-        if np.abs(mat - mat.conj().T).max() > 1e-12:
-            raise ValueError("replica observable must be Hermitian")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-
-def build_gamma(alpha: int) -> ReplicaObservable:
-    """Gamma_alpha = (1/2) sum_i Q_i^{(x) 2 alpha} over the four qubit Paulis."""
+def build_gamma(alpha: int) -> np.ndarray:
+    """Gamma_alpha = (1/2) sum_i Q_i^{(x) 2 alpha} over the four qubit Paulis, as a
+    read-only Hermitian ndarray; <psi^{(x)2a}| Gamma^{(x)n} |psi^{(x)2a}> = A_alpha."""
     if alpha < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     m = 2 * alpha
@@ -54,13 +39,15 @@ def build_gamma(alpha: int) -> ReplicaObservable:
     # Q^{(x) m} is the m-qubit string that repeats Q's x and z bits on every qubit
     ones = (1 << m) - 1
     powers = [pauli_from_index(m, ones * (j & 1) | (ones << m) * (j >> 1)) for j in range(4)]
-    return ReplicaObservable(alpha, sum(p.to_dense() for p in powers) / 2.0)
+    gamma = sum(p.to_dense() for p in powers) / 2.0
+    gamma.setflags(write=False)
+    return gamma
 
 
 def gamma_tensor_max_abs_eig(alpha: int, n: int) -> float:
     """Largest |eigenvalue| of Gamma_alpha^{(x) n} (spectrum of a tensor power
     is the set of eigenvalue products)."""
-    eigs = np.linalg.eigvalsh(build_gamma(alpha).matrix)
+    eigs = np.linalg.eigvalsh(build_gamma(alpha))
     return float(np.abs(eigs).max() ** n)
 
 
@@ -74,7 +61,7 @@ def replica_expectation(psi: StateVector, alpha: int) -> float:
     n = psi.n
     copies = 2 * alpha
     big = tensor_power(psi, copies)  # guards copies * n <= 20
-    gamma = build_gamma(alpha).matrix
+    gamma = build_gamma(alpha)
     v = big.amps.reshape((2,) * (copies * n))
     front = list(range(copies))
     for q in range(n):

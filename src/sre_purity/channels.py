@@ -25,6 +25,7 @@ from .states import (
     DensityMatrix,
     StateVector,
     apply_pauli,
+    built_density,
     controlled_pauli_power,
     hadamard_layer,
     reduced_density_matrix,
@@ -64,7 +65,7 @@ def exact_channel_output(psi: StateVector, alpha: int) -> DensityMatrix:
         out += rows.T @ rows.conj()
     del images, rows
     out /= d * d
-    return DensityMatrix(alpha * n, out)
+    return built_density(alpha * n, out)
 
 
 def coherent_layout(n: int, alpha: int):
@@ -113,7 +114,7 @@ def ancilla_marginal(psi: StateVector, alpha: int) -> DensityMatrix:
     n, d = psi.n, psi.dim
     check_size("density-matrix dimension", d * d, DENSE_DIM)
     images = pauli_images(psi.amps, np.arange(d * d))
-    return DensityMatrix(2 * n, (images @ images.conj().T) ** alpha / (d * d))
+    return built_density(2 * n, (images @ images.conj().T) ** alpha / (d * d))
 
 
 def incoherent_sample(psi: StateVector, alpha: int, rng: np.random.Generator) -> StateVector:

@@ -63,12 +63,6 @@ class ShotBudget:
     copies_of_psi: int
     swap_shots: int
 
-    def __post_init__(self):
-        if self.swap_shots != -(-self.copies_of_psi // (2 * self.alpha)):
-            raise ValueError("swap_shots must be ceil(copies_of_psi / (2 alpha))")
-        if abs(self.tau - self.epsilon / self.d) > 1e-15:
-            raise ValueError("tau must equal epsilon/d")
-
 
 def check_targets(epsilon: float, delta: float) -> None:
     """Refuse an additive error or failure probability outside (0, 1]."""

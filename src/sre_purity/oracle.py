@@ -61,7 +61,8 @@ def m_from_a(a: float, alpha: int) -> float:
         raise ValueError(f"M_alpha needs alpha >= 2, got {alpha}")
     if a <= 0:
         raise ValueError(f"a must be positive, got {a}")
-    return math.log(a) / (1 - alpha)
+    # + 0.0 turns the -0.0 of a = 1 into 0.0 and leaves every other value as it is
+    return math.log(a) / (1 - alpha) + 0.0
 
 
 def pauli_expectations(psi: StateVector) -> np.ndarray:

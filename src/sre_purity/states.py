@@ -21,9 +21,6 @@ from .paulis import PauliString, apply_pauli_amps, expval
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
 
 NORM_TOL = 1e-10
-# PSD validation is O(dim^3); above this dimension it is skipped and the
-# invariant is covered by the construction sites and the test suite.
-_PSD_CHECK_DIM = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,15 +51,18 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian trace-one operator on n qubits."""
+    """Hermitian, positive semidefinite, trace-one operator on n qubits.
+
+    A caller's matrix is checked in full: finite and Hermitian to 1e-10, trace
+    one to 1e-10 and no eigenvalue below -1e-9.  The package's own matrices
+    are correct by construction and enter through ``built_density``.
+    """
 
     n: int
     mat: np.ndarray
 
     def __post_init__(self):
         dim = 1 << self.n
-        # matrices built by callers are validated here; package sites check
-        # their dimension before they allocate
         check_size("density-matrix dimension", dim, DENSE_DIM)
         mat = np.ascontiguousarray(self.mat, dtype=complex)
         if mat.shape != (dim, dim):
@@ -73,16 +73,24 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > 1e-10:
             raise NormalizationError(f"trace is {tr!r}, expected 1")
-        if dim <= _PSD_CHECK_DIM:
-            lo = float(np.linalg.eigvalsh(mat).min())
-            if lo < -1e-9:
-                raise NormalizationError(f"negative eigenvalue {lo:.3e}")
+        lo = float(np.linalg.eigvalsh(mat).min())
+        if lo < -1e-9:
+            raise NormalizationError(f"negative eigenvalue {lo:.3e}")
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 
     @property
     def dim(self) -> int:
         return 1 << self.n
+
+
+def built_density(n: int, mat: np.ndarray) -> DensityMatrix:
+    """Wrap, read-only and unchecked, a matrix the package built Hermitian, PSD
+    and of trace one after checking its dimension (the tests assert all three)."""
+    mat.setflags(write=False)
+    rho = object.__new__(DensityMatrix)
+    vars(rho).update(n=n, mat=mat)
+    return rho
 
 
 @dataclass(frozen=True)
@@ -149,7 +157,7 @@ def phase_state(theta: float) -> StateVector:
 
 def pure_density(psi: StateVector) -> DensityMatrix:
     check_size("density-matrix dimension", psi.dim, DENSE_DIM)
-    return DensityMatrix(psi.n, np.outer(psi.amps, psi.amps.conj()))
+    return built_density(psi.n, np.outer(psi.amps, psi.amps.conj()))
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +291,14 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     for t in tr_tab:
         rows = keep_tab + t
         out += rho.mat[np.ix_(rows, rows)]
-    return DensityMatrix(len(keep), out)
+    return built_density(len(keep), out)
 
 
 def reduced_density_matrix(psi: StateVector, keep) -> DensityMatrix:
     """Reduced state of a pure state on the kept qubits (no full outer product)."""
     m = _split_matrix(psi, keep)
     check_size("density-matrix dimension", m.shape[0], DENSE_DIM)
-    return DensityMatrix(int(math.log2(m.shape[0])), m @ m.conj().T)
+    return built_density(int(math.log2(m.shape[0])), m @ m.conj().T)
 
 
 def _split_matrix(psi: StateVector, keep) -> np.ndarray:

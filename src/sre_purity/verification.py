@@ -221,7 +221,7 @@ def check_replica_identity() -> CheckResult:
 def check_gamma_swap() -> CheckResult:
     swap = np.zeros((4, 4))
     swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
-    worst = float(np.abs(build_gamma(1).matrix - swap).max())
+    worst = float(np.abs(build_gamma(1) - swap).max())
     return _result("Gamma_1 is the two-qubit swap operator", worst, 1e-12)
 
 

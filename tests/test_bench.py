@@ -41,7 +41,11 @@ PI4 = math.pi / 4
 def test_gamma_one_is_swap():
     swap = np.zeros((4, 4))
     swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
-    assert np.abs(build_gamma(1).matrix - swap).max() == 0.0
+    assert np.abs(build_gamma(1) - swap).max() == 0.0
+    for alpha in range(1, 6):
+        gamma = build_gamma(alpha)
+        assert not gamma.flags.writeable
+        assert np.array_equal(gamma, gamma.conj().T)
 
 
 def test_gamma_norm_parity():
@@ -52,7 +56,7 @@ def test_gamma_norm_parity():
 
 
 def test_gamma_two_eigenvalue_range():
-    eigs = np.linalg.eigvalsh(build_gamma(2).matrix)
+    eigs = np.linalg.eigvalsh(build_gamma(2))
     assert eigs.min() >= -2 - 1e-9 and eigs.max() <= 2 + 1e-9
     assert np.abs(eigs).max() == pytest.approx(2.0, abs=1e-9)
 

@@ -27,6 +27,7 @@ from sre_purity.oracle import a_alpha_exact
 from sre_purity.states import (
     partial_trace,
     phase_state,
+    pure_density,
     purity,
     zero_state,
 )
@@ -211,6 +212,35 @@ def test_both_marginals_share_purity():
         pa = purity(ancilla_marginal_of(prepared, n, alpha))
         pb = purity(copies_marginal(prepared, n, alpha))
         assert pa == pytest.approx(pb, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# construction-site invariants (these matrices are wrapped unchecked)
+
+
+@pytest.mark.parametrize(
+    "n,alpha", [(n, a) for n in (1, 2, 3) for a in (1, 2, 3, 4) if a * n <= 10]
+)
+def test_construction_sites_build_density_matrices(n, alpha):
+    psi = haar_random_state(n, np.random.default_rng(100 * n + alpha))
+    out = exact_channel_output(psi, alpha)
+    prepared = coherent_prepare(psi, alpha)
+    built = {
+        "exact_channel_output": out,
+        "ancilla_marginal": ancilla_marginal(psi, alpha),
+        # reduced_density_matrix, through both coherent marginals
+        "copies_marginal": copies_marginal(prepared, n, alpha),
+        "ancilla_marginal_of": ancilla_marginal_of(prepared, n, alpha),
+        "partial_trace": partial_trace(out, range(max(alpha - 1, 1) * n)),
+        "pure_density": pure_density(psi),
+    }
+    for site, rho in built.items():
+        mat = rho.mat
+        assert mat.shape == (rho.dim, rho.dim) and rho.dim <= 1024, site
+        assert not mat.flags.writeable, site
+        assert np.abs(mat - mat.conj().T).max() <= 1e-10, site
+        assert abs(np.trace(mat) - 1.0) <= 1e-10, site
+        assert np.linalg.eigvalsh(mat).min() >= -1e-9, site
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ def test_oracle_theta_zero(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["a_alpha"] == pytest.approx(1.0, abs=1e-12)
     assert payload["m_alpha"] == pytest.approx(0.0, abs=1e-12)
+    assert math.copysign(1.0, payload["m_alpha"]) == 1.0
 
 
 def test_oracle_theta_pi_over_4(capsys):
@@ -38,6 +39,14 @@ def test_oracle_stab_two(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["a_alpha"] == pytest.approx(1.0, abs=1e-12)
     assert payload["m_alpha"] == pytest.approx(0.0, abs=1e-12)
+    # A is exactly 1 here, and M is +0.0, never -0.0
+    assert math.copysign(1.0, payload["m_alpha"]) == 1.0
+    argv = ["estimate", "--state", "stab:2", "--alpha", "3", "--method", "incoherent",
+            "--shots", "0"]
+    assert run_cli(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["a_hat"] == 1.0
+    assert math.copysign(1.0, payload["m_hat"]) == 1.0
 
 
 def test_oracle_distribution_block(capsys):

@@ -81,6 +81,13 @@ def test_density_matrix_rejects_bad_inputs():
             DensityMatrix(1, np.array([[0.5, bad], [bad, 0.5]]))
         with pytest.raises(NormalizationError):
             DensityMatrix(1, np.array([[bad, 0.0], [0.0, 0.0]]))
+    # Hermitian with trace one, but not PSD; the check runs at every
+    # dimension the size guard allows
+    for n in (1, 11):
+        spectrum = np.zeros(1 << n)
+        spectrum[:2] = 1.5, -0.5
+        with pytest.raises(NormalizationError, match="negative eigenvalue"):
+            DensityMatrix(n, np.diag(spectrum))
 
 
 def test_split_validation():
