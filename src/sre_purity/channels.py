@@ -53,16 +53,20 @@ def exact_channel_output(psi: StateVector, alpha: int) -> DensityMatrix:
     check_size("pure-state qubits", alpha * n, PURE_QUBITS)
     dim = 1 << (alpha * n)
     check_size("density-matrix dimension", dim, DENSE_DIM)
-    out = np.zeros((dim, dim), dtype=complex)
+    out = None
     # blocks of at most dim strings, so no block outgrows the output; only
-    # alpha = 1 (d^2 strings, dim = d) takes more than one
+    # alpha = 1 (d^2 strings, dim = d) takes more than one, and a single
+    # block's product is the output itself, not a second dim x dim matrix
     for start in range(0, d * d, dim):
         images = pauli_images(psi.amps, np.arange(start, min(start + dim, d * d)))
         rows = images
         for _ in range(alpha - 1):
             # row-wise Kronecker product: row j becomes (P_j psi)^{(x) k}
             rows = (rows[:, :, None] * images[:, None, :]).reshape(len(images), -1)
-        out += rows.T @ rows.conj()
+        if out is None:
+            out = rows.T @ rows.conj()
+        else:
+            out += rows.T @ rows.conj()
     del images, rows
     out /= d * d
     return built_density(alpha * n, out)
@@ -80,16 +84,19 @@ def coherent_layout(n: int, alpha: int):
 
 
 def coherent_prepare(psi: StateVector, alpha: int) -> StateVector:
-    """Ancilla-circuit preparation: cU_P (H^{(x)2n} (x) I) |0...0>|psi>^{(x)alpha}."""
+    """Ancilla-circuit preparation: cU_P (H^{(x)2n} (x) I) |0...0>|psi>^{(x)alpha}.
+
+    The Hadamards act on the 2n-qubit ancilla before it meets the copies (the
+    ancilla is still a product state there, so this is the same state), and
+    the controlled strings are one whole-register gather and scatter.
+    """
     _check_alpha(alpha)
     n = psi.n
     total = (2 + alpha) * n
     check_size("pure-state qubits", total, PURE_QUBITS)
     ancilla, blocks = coherent_layout(n, alpha)
-    full = StateVector(
-        total, np.kron(zero_state(2 * n).amps, tensor_power(psi, alpha).amps)
-    )
-    full = hadamard_layer(full, ancilla)
+    plus = hadamard_layer(zero_state(2 * n), range(2 * n))
+    full = StateVector(total, np.kron(plus.amps, tensor_power(psi, alpha).amps))
     return controlled_pauli_power(full, ancilla, blocks)
 
 

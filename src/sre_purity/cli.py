@@ -31,7 +31,7 @@ from .channels import PreparationMethod
 from .clifford import haar_random_state
 from .errors import SizeGuardError
 from .estimation import copies_required
-from .oracle import characteristic_distribution, sre_value
+from .oracle import sre_value, sre_value_and_distribution
 from .paulis import enumerate_paulis
 from .pipeline import EstimationRequest, run_estimation
 from .states import StateVector, phase_state, zero_state
@@ -159,7 +159,10 @@ def _csv_cell(value) -> str:
 
 def cmd_oracle(args) -> int:
     psi = parse_state_spec(args.state)
-    val = sre_value(psi, args.alpha)
+    if args.dist:
+        val, dist = sre_value_and_distribution(psi, args.alpha)
+    else:
+        val = sre_value(psi, args.alpha)
     payload = {
         "meta": _meta(_config(args)),
         "state": args.state,
@@ -169,9 +172,7 @@ def cmd_oracle(args) -> int:
         "m_alpha": val.m_alpha,
     }
     if args.dist:
-        payload["characteristic_distribution"] = list(
-            characteristic_distribution(psi).probs
-        )
+        payload["characteristic_distribution"] = list(dist.probs)
         payload["pauli_order"] = [p.label() for p in enumerate_paulis(psi.n)]
     _emit_json(payload, args.out)
     return 0

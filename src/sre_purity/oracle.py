@@ -75,11 +75,18 @@ def characteristic_distribution(psi: StateVector) -> CharacteristicDistribution:
     return CharacteristicDistribution(e**2 / psi.dim)
 
 
-def a_alpha_exact(psi: StateVector, alpha: int) -> float:
+def _check_alpha(alpha: int) -> None:
     if alpha < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
-    e = pauli_expectations(psi)
-    return float(np.sum(e ** (2 * alpha)) / psi.dim)
+
+
+def _a_alpha(e: np.ndarray, dim: int, alpha: int) -> float:
+    return float(np.sum(e ** (2 * alpha)) / dim)
+
+
+def a_alpha_exact(psi: StateVector, alpha: int) -> float:
+    _check_alpha(alpha)
+    return _a_alpha(pauli_expectations(psi), psi.dim, alpha)
 
 
 def m_alpha_exact(psi: StateVector, alpha: int) -> float:
@@ -88,10 +95,24 @@ def m_alpha_exact(psi: StateVector, alpha: int) -> float:
     return m_from_a(a_alpha_exact(psi, alpha), alpha)
 
 
+def _sre_value(a: float, alpha: int) -> SreValue:
+    return SreValue(alpha, a, m_from_a(a, alpha) if alpha >= 2 else None)
+
+
 def sre_value(psi: StateVector, alpha: int) -> SreValue:
-    a = a_alpha_exact(psi, alpha)
-    m = m_from_a(a, alpha) if alpha >= 2 else None
-    return SreValue(alpha, a, m)
+    return _sre_value(a_alpha_exact(psi, alpha), alpha)
+
+
+def sre_value_and_distribution(
+    psi: StateVector, alpha: int
+) -> tuple[SreValue, CharacteristicDistribution]:
+    """``sre_value`` and ``characteristic_distribution`` from one evaluation
+    of the 4^n expectations (the same values as the two calls)."""
+    _check_alpha(alpha)
+    e = pauli_expectations(psi)
+    return _sre_value(_a_alpha(e, psi.dim, alpha), alpha), CharacteristicDistribution(
+        e**2 / psi.dim
+    )
 
 
 def closed_form_a(theta: float, alpha: int) -> float:

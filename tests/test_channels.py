@@ -7,6 +7,7 @@ computation, both from literal matrices.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from sre_purity.clifford import haar_random_state
 from sre_purity.errors import SizeGuardError
 from sre_purity.estimation import state_overlap
 from sre_purity.oracle import a_alpha_exact
+from sre_purity.paulis import pauli_images
 from sre_purity.states import (
     partial_trace,
     phase_state,
@@ -143,6 +145,39 @@ def test_coherent_copies_marginal_equals_channel(n, alpha):
     prepared = coherent_prepare(psi, alpha)
     marg = copies_marginal(prepared, n, alpha)
     assert np.abs(marg.mat - exact_channel_output(psi, alpha).mat).max() < 1e-10
+
+
+@pytest.mark.parametrize("n,alpha", [(n, a) for n in (1, 2, 3) for a in (1, 2, 3, 4)])
+def test_coherent_prepare_closed_form(n, alpha):
+    # sum_j |j> (x) (P_j psi)^{(x) alpha} / d, ancilla value j in the top 2n bits
+    psi = haar_random_state(n, np.random.default_rng(70 + 10 * n + alpha))
+    rows = images = pauli_images(psi.amps, np.arange(4**n))
+    for _ in range(alpha - 1):
+        rows = (rows[:, :, None] * images[:, None, :]).reshape(4**n, -1)
+    expected = rows.ravel() / psi.dim
+    assert np.abs(coherent_prepare(psi, alpha).amps - expected).max() < 1e-12
+
+
+def _peak_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_coherent_prepare_peak_memory():
+    # a 20-qubit register is 16 MiB: input, output, the phased values and
+    # int32 index arrays fit in 3.5 times that
+    psi = haar_random_state(4, np.random.default_rng(5))
+    assert _peak_bytes(coherent_prepare, psi, 3) <= 3.5 * 16 * 2**20
+
+
+def test_exact_channel_output_single_block_peak_memory():
+    # alpha >= 2 is one block: its product is the 16 MiB output, not a second copy
+    psi = haar_random_state(2, np.random.default_rng(6))
+    assert _peak_bytes(exact_channel_output, psi, 5) <= 20 * 2**20
 
 
 def test_coherent_matches_gate_sequence_for_zero_state():

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import sre_purity.cli as cli
+import sre_purity.oracle as oracle
 import sre_purity.verification as verification
 from sre_purity.cli import build_parser, main, parse_state_spec
-from sre_purity.oracle import a_alpha_exact
+from sre_purity.oracle import a_alpha_exact, characteristic_distribution
 
 
 def run_cli(args):
@@ -56,6 +57,24 @@ def test_oracle_distribution_block(capsys):
     # theta=0 is |+>: weight on I and X only
     probs = payload["characteristic_distribution"]
     assert probs == pytest.approx([0.5, 0.5, 0.0, 0.0], abs=1e-12)
+
+
+def test_oracle_distribution_evaluates_expectations_once(monkeypatch, capsys):
+    calls = []
+    original = oracle.pauli_expectations
+
+    def counted(psi):
+        calls.append(psi)
+        return original(psi)
+
+    monkeypatch.setattr(oracle, "pauli_expectations", counted)
+    assert run_cli(["oracle", "--state", "haar:2:3", "--alpha", "3", "--dist"]) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    payload = json.loads(capsys.readouterr().out)
+    psi = parse_state_spec("haar:2:3")
+    assert payload["a_alpha"] == a_alpha_exact(psi, 3)
+    assert payload["characteristic_distribution"] == list(characteristic_distribution(psi).probs)
 
 
 def test_estimate_accuracy_and_budget_fields(tmp_path):

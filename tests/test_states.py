@@ -329,6 +329,47 @@ def test_cpp_unitarity_and_guards():
         controlled_pauli_power(full, ancilla=[4, 5, 6, 7], blocks=[[0, 1], [1, 2]])
 
 
+def _cpp_reference(psi: StateVector, ancilla, blocks) -> np.ndarray:
+    """The string-by-string form: one masked phased permutation per ancilla value."""
+    n_sub = len(blocks[0])
+    idx = np.arange(psi.dim)
+    anc_val = np.zeros(psi.dim, dtype=np.int64)
+    for a, q in enumerate(ancilla):
+        anc_val |= ((idx >> q) & 1) << a
+    out = np.empty_like(psi.amps)
+    for j in range(4**n_sub):
+        x_sub = j & ((1 << n_sub) - 1)
+        z_sub = j >> n_sub
+        x_full = z_full = 0
+        for block in blocks:
+            for q_sub, q in enumerate(block):
+                x_full |= ((x_sub >> q_sub) & 1) << q
+                z_full |= ((z_sub >> q_sub) & 1) << q
+        phase = 1j ** ((len(blocks) * ((x_sub & z_sub).bit_count())) % 4)
+        sel = np.flatnonzero(anc_val == j)
+        signs = 1.0 - 2.0 * (np.bitwise_count(sel & z_full) & 1)
+        out[sel ^ x_full] = phase * signs * psi.amps[sel]
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_qubits,ancilla,blocks",
+    [
+        (4, [2, 3], [[1], [0]]),  # canonical n=1, alpha=2
+        (8, [4, 5, 6, 7], [[2, 3], [0, 1]]),  # canonical n=2, alpha=2
+        (10, [8, 9], [[7], [6], [5], [4], [3], [2], [1], [0]]),  # canonical n=1, alpha=8
+        (3, [1, 2], [[0]]),
+        (4, [0, 3], [[2], [1]]),
+        # interleaved n=2, alpha=2: ancilla and block qubits alternate
+        (8, [1, 3, 5, 7], [[0, 2], [6, 4]]),
+    ],
+)
+def test_cpp_matches_string_by_string_reference(n_qubits, ancilla, blocks):
+    psi = random_state(n_qubits, 43 + n_qubits)
+    out = controlled_pauli_power(psi, ancilla, blocks)
+    assert np.array_equal(out.amps, _cpp_reference(psi, ancilla, blocks))
+
+
 def test_apply_pauli_dimension_check():
     with pytest.raises(DimensionError):
         apply_pauli(pauli_from_index(2, 1), zero_state(1))
