@@ -135,6 +135,8 @@ def sweep_theta(
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    if min(len(alphas), len(theta_grid)) == 0:
+        raise ValueError("nothing to sweep: no alphas or no theta values")
     check_targets(epsilon, delta)
     rows = []
     for alpha in alphas:
@@ -276,6 +278,8 @@ def complexity_table(
     known = ("swap_purity", "direct_gamma", "direct_single_copy")
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    if min(len(methods), len(alphas), len(epsilons)) == 0:
+        raise ValueError("nothing to compute: no methods, alphas or epsilons")
     for epsilon in epsilons:
         budget_ceil(1, epsilon, delta)  # refuses a non-positive or non-finite target
     rows = []

@@ -2,13 +2,13 @@
 
 The channel applies every Pauli string with probability d^{-2} to all alpha
 copies of a pure input state.  Its output encodes A_alpha into the purity:
-d * tr[output^2] = A_alpha.  Three routes are provided:
+d * tr[output^2] = A_alpha.  Three routes read one table R, whose row j is
+(P_j psi)^{(x) alpha}, the row-wise Kronecker power of the Pauli images of psi:
 
-* ``exact_channel_output`` — the d^2-term mixture R^T R* / d^2, where row j
-  of R is (P_j psi)^{(x) alpha}, built from the Pauli images of psi;
-* ``coherent_prepare`` — the ancilla circuit: 2n ancillas in uniform
-  superposition controlling the string applied to every copy;
-* ``incoherent_sample`` — one uniformly drawn string applied to all copies.
+* ``exact_channel_output`` — the d^2-term mixture R^T R* / d^2;
+* ``coherent_prepare`` — the state of the ancilla circuit (2n ancillas in
+  uniform superposition controlling the string applied to every copy), R / d;
+* ``incoherent_sample`` — one uniformly drawn row of R.
   The returned sample deliberately carries no record of which string was
   drawn; estimators may consume it only as an opaque state.
 """
@@ -20,18 +20,8 @@ import enum
 import numpy as np
 
 from .errors import DENSE_DIM, PURE_QUBITS, check_size
-from .paulis import pauli_from_index, pauli_images
-from .states import (
-    DensityMatrix,
-    StateVector,
-    apply_pauli,
-    built_density,
-    controlled_pauli_power,
-    hadamard_layer,
-    reduced_density_matrix,
-    tensor_power,
-    zero_state,
-)
+from .paulis import pauli_images
+from .states import DensityMatrix, StateVector, built_density, reduced_density_matrix
 
 
 class PreparationMethod(enum.Enum):
@@ -43,6 +33,15 @@ class PreparationMethod(enum.Enum):
 def _check_alpha(alpha: int) -> None:
     if not isinstance(alpha, (int, np.integer)) or alpha < 1:
         raise ValueError(f"alpha must be a positive integer, got {alpha!r}")
+
+
+def _pauli_powers(psi: StateVector, alpha: int, indices) -> np.ndarray:
+    """Row k is (P_j psi)^{(x) alpha}, j = indices[k], first factor most significant."""
+    images = pauli_images(psi.amps, indices)
+    rows = images
+    for _ in range(alpha - 1):
+        rows = (rows[:, :, None] * images[:, None, :]).reshape(len(images), -1)
+    return rows
 
 
 def exact_channel_output(psi: StateVector, alpha: int) -> DensityMatrix:
@@ -58,46 +57,29 @@ def exact_channel_output(psi: StateVector, alpha: int) -> DensityMatrix:
     # alpha = 1 (d^2 strings, dim = d) takes more than one, and a single
     # block's product is the output itself, not a second dim x dim matrix
     for start in range(0, d * d, dim):
-        images = pauli_images(psi.amps, np.arange(start, min(start + dim, d * d)))
-        rows = images
-        for _ in range(alpha - 1):
-            # row-wise Kronecker product: row j becomes (P_j psi)^{(x) k}
-            rows = (rows[:, :, None] * images[:, None, :]).reshape(len(images), -1)
+        rows = _pauli_powers(psi, alpha, np.arange(start, min(start + dim, d * d)))
         if out is None:
             out = rows.T @ rows.conj()
         else:
             out += rows.T @ rows.conj()
-    del images, rows
+    del rows
     out /= d * d
     return built_density(alpha * n, out)
 
 
-def coherent_layout(n: int, alpha: int):
-    """(ancilla qubits, copy blocks) for the canonical register layout.
-
-    The ancilla sits in the most-significant 2n positions; copy block B_i
-    occupies the i-th most significant n-qubit block below it.
-    """
-    ancilla = tuple(range(alpha * n, alpha * n + 2 * n))
-    blocks = [tuple(range((alpha - i) * n, (alpha - i + 1) * n)) for i in range(1, alpha + 1)]
-    return ancilla, blocks
-
-
 def coherent_prepare(psi: StateVector, alpha: int) -> StateVector:
-    """Ancilla-circuit preparation: cU_P (H^{(x)2n} (x) I) |0...0>|psi>^{(x)alpha}.
+    """State of the ancilla circuit cU_P (H^{(x)2n} (x) I) |0...0>|psi>^{(x)alpha}.
 
-    The Hadamards act on the 2n-qubit ancilla before it meets the copies (the
-    ancilla is still a product state there, so this is the same state), and
-    the controlled strings are one whole-register gather and scatter.
+    The Hadamards give each ancilla value j amplitude 1/d, which the controlled
+    string carries to |j> (P_j psi)^{(x) alpha}: the table over all d^2 strings
+    divided by d, j in the top 2n bits.  ``states.controlled_pauli_power`` is the circuit.
     """
     _check_alpha(alpha)
-    n = psi.n
-    total = (2 + alpha) * n
+    total = (2 + alpha) * psi.n
     check_size("pure-state qubits", total, PURE_QUBITS)
-    ancilla, blocks = coherent_layout(n, alpha)
-    plus = hadamard_layer(zero_state(2 * n), range(2 * n))
-    full = StateVector(total, np.kron(plus.amps, tensor_power(psi, alpha).amps))
-    return controlled_pauli_power(full, ancilla, blocks)
+    amps = _pauli_powers(psi, alpha, np.arange(psi.dim**2))
+    amps /= psi.dim
+    return StateVector(total, amps.ravel())
 
 
 def copies_marginal(prepared: StateVector, n: int, alpha: int) -> DensityMatrix:
@@ -129,4 +111,4 @@ def incoherent_sample(psi: StateVector, alpha: int, rng: np.random.Generator) ->
     _check_alpha(alpha)
     check_size("pure-state qubits", alpha * psi.n, PURE_QUBITS)
     j = int(rng.integers(4**psi.n))
-    return tensor_power(apply_pauli(pauli_from_index(psi.n, j), psi), alpha)
+    return StateVector(alpha * psi.n, _pauli_powers(psi, alpha, [j])[0])

@@ -32,7 +32,7 @@ from .clifford import haar_random_state
 from .errors import SizeGuardError
 from .estimation import copies_required
 from .oracle import sre_value, sre_value_and_distribution
-from .paulis import enumerate_paulis
+from .paulis import pauli_labels
 from .pipeline import EstimationRequest, run_estimation
 from .states import StateVector, phase_state, zero_state
 from .verification import run_suite
@@ -173,7 +173,7 @@ def cmd_oracle(args) -> int:
     }
     if args.dist:
         payload["characteristic_distribution"] = list(dist.probs)
-        payload["pauli_order"] = [p.label() for p in enumerate_paulis(psi.n)]
+        payload["pauli_order"] = pauli_labels(psi.n)
     _emit_json(payload, args.out)
     return 0
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import OPERATOR_DIM, PAULI_QUBITS, DimensionError, check_size
 
-_PAULI_CHARS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+_PAULI_CHARS = "IXZY"  # indexed by x_bit | z_bit << 1
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class PauliString:
     def label(self) -> str:
         """Character per qubit, qubit 0 leftmost (phase not shown)."""
         return "".join(
-            _PAULI_CHARS[(self.x_bits >> q & 1, self.z_bits >> q & 1)]
+            _PAULI_CHARS[(self.x_bits >> q & 1) | (self.z_bits >> q & 1) << 1]
             for q in range(self.n)
         )
 
@@ -95,6 +95,16 @@ def enumerate_paulis(n: int) -> list[PauliString]:
     """All 4^n Hermitian Pauli strings in canonical order (index 0 = identity)."""
     check_size("Pauli-string qubits", n, PAULI_QUBITS)
     return [pauli_from_index(n, j) for j in range(4**n)]
+
+
+def pauli_labels(n: int) -> list[str]:
+    """``label()`` of every canonical string in order, formed from the index alone."""
+    check_size("Pauli-string qubits", n, PAULI_QUBITS)
+    # bits 0 and n of shifted[j, q] are bit q of string j's x- and z-mask
+    shifted = np.arange(4**n)[:, None] >> np.arange(n)
+    codes = (shifted & 1) | (shifted >> n & 1) << 1
+    chars = np.array([ord(c) for c in _PAULI_CHARS], dtype=np.uint32)[codes]
+    return chars.view(f"U{n}")[:, 0].tolist()
 
 
 def pauli_mul(a: PauliString, b: PauliString) -> PauliString:

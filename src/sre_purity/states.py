@@ -222,6 +222,7 @@ def controlled_pauli_power(
 ) -> StateVector:
     """Apply P_j^{(x) alpha} to the blocks, conditioned on ancilla value j.
 
+    The gate-level reference for the closed form in ``channels.coherent_prepare``.
     ``ancilla`` lists the 2n qubits holding the Pauli index (bit a of j lives
     on ancilla[a]; the low n bits are the x-mask, the high n bits the z-mask).
     ``blocks`` lists alpha disjoint groups of n qubits; every group receives

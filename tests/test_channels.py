@@ -2,7 +2,8 @@
 
 The exact mixture is cross-checked against brute-force dense sums assembled
 in this file, and the ancilla marginal against an entrywise dense-trace
-computation, both from literal matrices.
+computation, both from literal matrices; the coherent preparation against
+the gate-level circuit of ``states.controlled_pauli_power``.
 """
 
 import itertools
@@ -25,12 +26,17 @@ from sre_purity.clifford import haar_random_state
 from sre_purity.errors import SizeGuardError
 from sre_purity.estimation import state_overlap
 from sre_purity.oracle import a_alpha_exact
-from sre_purity.paulis import pauli_images
+from sre_purity.paulis import pauli_from_index
 from sre_purity.states import (
+    StateVector,
+    apply_pauli,
+    controlled_pauli_power,
+    hadamard_layer,
     partial_trace,
     phase_state,
     pure_density,
     purity,
+    tensor_power,
     zero_state,
 )
 
@@ -147,14 +153,23 @@ def test_coherent_copies_marginal_equals_channel(n, alpha):
     assert np.abs(marg.mat - exact_channel_output(psi, alpha).mat).max() < 1e-10
 
 
+def _coherent_circuit(psi, alpha):
+    """cU_P (H^{(x)2n} (x) I) |0...0>|psi>^{(x)alpha} on the canonical layout:
+    the ancilla in the top 2n qubits, copy block B_i the i-th n-qubit block below."""
+    n = psi.n
+    ancilla = range(alpha * n, (alpha + 2) * n)
+    blocks = [range((alpha - i) * n, (alpha - i + 1) * n) for i in range(1, alpha + 1)]
+    plus = hadamard_layer(zero_state(2 * n), range(2 * n))
+    full = StateVector((2 + alpha) * n, np.kron(plus.amps, tensor_power(psi, alpha).amps))
+    return controlled_pauli_power(full, ancilla, blocks)
+
+
 @pytest.mark.parametrize("n,alpha", [(n, a) for n in (1, 2, 3) for a in (1, 2, 3, 4)])
 def test_coherent_prepare_closed_form(n, alpha):
-    # sum_j |j> (x) (P_j psi)^{(x) alpha} / d, ancilla value j in the top 2n bits
+    # the closed form sum_j |j> (x) (P_j psi)^{(x) alpha} / d is the state the
+    # ancilla circuit prepares
     psi = haar_random_state(n, np.random.default_rng(70 + 10 * n + alpha))
-    rows = images = pauli_images(psi.amps, np.arange(4**n))
-    for _ in range(alpha - 1):
-        rows = (rows[:, :, None] * images[:, None, :]).reshape(4**n, -1)
-    expected = rows.ravel() / psi.dim
+    expected = _coherent_circuit(psi, alpha).amps
     assert np.abs(coherent_prepare(psi, alpha).amps - expected).max() < 1e-12
 
 
@@ -168,10 +183,11 @@ def _peak_bytes(fn, *args) -> int:
 
 
 def test_coherent_prepare_peak_memory():
-    # a 20-qubit register is 16 MiB: input, output, the phased values and
-    # int32 index arrays fit in 3.5 times that
-    psi = haar_random_state(4, np.random.default_rng(5))
-    assert _peak_bytes(coherent_prepare, psi, 3) <= 3.5 * 16 * 2**20
+    # a 20-qubit register is 16 MiB: the output and the table's previous
+    # row-wise power (at most half of it) fit in 1.75 times that
+    for n, alpha in [(4, 3), (2, 8), (1, 18)]:
+        psi = haar_random_state(n, np.random.default_rng(5))
+        assert _peak_bytes(coherent_prepare, psi, alpha) <= 1.75 * 16 * 2**20, (n, alpha)
 
 
 def test_exact_channel_output_single_block_peak_memory():
@@ -309,6 +325,15 @@ def test_incoherent_pair_overlap_mean_is_a_alpha_over_d(n, alpha):
     samples = [incoherent_sample(psi, alpha, _FixedDraw(j)) for j in range(4**n)]
     mean = np.mean([state_overlap(a, b) for a in samples for b in samples])
     assert abs(mean - a_alpha_exact(psi, alpha) / psi.dim) < 1e-12
+
+
+@pytest.mark.parametrize("n,alpha", [(1, 1), (1, 4), (2, 3), (3, 2)])
+def test_incoherent_sample_is_the_drawn_string_on_every_copy(n, alpha):
+    psi = haar_random_state(n, np.random.default_rng(30 + 10 * n + alpha))
+    for j in range(4**n):
+        sample = incoherent_sample(psi, alpha, _FixedDraw(j))
+        expected = tensor_power(apply_pauli(pauli_from_index(n, j), psi), alpha)
+        assert np.array_equal(sample.amps, expected.amps), j
 
 
 def purity_of_pure(amps):

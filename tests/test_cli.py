@@ -229,9 +229,14 @@ def test_complexity_config_error_exits_2(args, capsys):
         ["sweep", "--alphas", "2", "--eps", "1.5"],
         ["estimate", "--state", "theta:inf", "--alpha", "2"],
         ["sweep", "--alphas", "2", "--theta-grid", "0:inf:2", "--seeds", "1"],
+        ["sweep", "--alphas", ""],
+        ["sweep", "--theta-grid", "0:1:0"],
+        ["complexity", "--alphas", ""],
+        ["complexity", "--methods", ""],
     ],
     ids=["sweep-no-seeds", "sweep-no-rows-bad-targets", "sweep-eps-above-1", "theta-inf",
-         "sweep-theta-inf"],
+         "sweep-theta-inf", "sweep-no-alphas", "sweep-empty-grid", "complexity-no-alphas",
+         "complexity-no-methods"],
 )
 def test_config_error_exits_2_before_any_row(args, tmp_path, capsys):
     out = tmp_path / "report"

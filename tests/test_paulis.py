@@ -20,6 +20,7 @@ from sre_purity.paulis import (
     expval,
     pauli_from_index,
     pauli_images,
+    pauli_labels,
     pauli_mul,
 )
 
@@ -41,6 +42,11 @@ def dense_from_label(label: str) -> np.ndarray:
 def test_enumeration_order_n1():
     labels = [p.label() for p in enumerate_paulis(1)]
     assert labels == ["I", "X", "Z", "Y"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_labels_from_index_match_strings(n):
+    assert pauli_labels(n) == [p.label() for p in enumerate_paulis(n)]
 
 
 def test_enumeration_count_n2():
