@@ -7,7 +7,8 @@ d * tr[output^2] = A_alpha.  Three routes read one table R, whose row j is
 
 * ``exact_channel_output`` — the d^2-term mixture R^T R* / d^2;
 * ``coherent_prepare`` — the state of the ancilla circuit (2n ancillas in
-  uniform superposition controlling the string applied to every copy), R / d;
+  uniform superposition controlling the string applied to every copy), R / d,
+  whose marginals' purity ``coherent_purity`` reads without building it;
 * ``incoherent_sample`` — one uniformly drawn row of R.
   The returned sample deliberately carries no record of which string was
   drawn; estimators may consume it only as an opaque state.
@@ -19,9 +20,9 @@ import enum
 
 import numpy as np
 
-from .errors import DENSE_DIM, PURE_QUBITS, check_size
+from .errors import DENSE_DIM, EXACT_WORK, PURE_QUBITS, check_size
 from .paulis import pauli_images
-from .states import DensityMatrix, StateVector, built_density, reduced_density_matrix
+from .states import DensityMatrix, StateVector, built_density, built_state, reduced_density_matrix
 
 
 class PreparationMethod(enum.Enum):
@@ -52,6 +53,7 @@ def exact_channel_output(psi: StateVector, alpha: int) -> DensityMatrix:
     check_size("pure-state qubits", alpha * n, PURE_QUBITS)
     dim = 1 << (alpha * n)
     check_size("density-matrix dimension", dim, DENSE_DIM)
+    check_size("exact-mixture multiply-adds", d * d * dim * dim, EXACT_WORK)
     out = None
     # blocks of at most dim strings, so no block outgrows the output; only
     # alpha = 1 (d^2 strings, dim = d) takes more than one, and a single
@@ -79,7 +81,7 @@ def coherent_prepare(psi: StateVector, alpha: int) -> StateVector:
     check_size("pure-state qubits", total, PURE_QUBITS)
     amps = _pauli_powers(psi, alpha, np.arange(psi.dim**2))
     amps /= psi.dim
-    return StateVector(total, amps.ravel())
+    return built_state(total, amps.ravel())
 
 
 def copies_marginal(prepared: StateVector, n: int, alpha: int) -> DensityMatrix:
@@ -97,8 +99,7 @@ def ancilla_marginal(psi: StateVector, alpha: int) -> DensityMatrix:
 
     With T the images P_i psi of all d^2 strings as rows, tr[P_j P_i psi] is
     entry (i, j) of T T^dagger.  Cross-checked in tests against tracing the
-    coherent preparation; its purity is d^{-1} A_alpha as well.
-    """
+    coherent preparation."""
     _check_alpha(alpha)
     n, d = psi.n, psi.dim
     check_size("density-matrix dimension", d * d, DENSE_DIM)
@@ -106,9 +107,24 @@ def ancilla_marginal(psi: StateVector, alpha: int) -> DensityMatrix:
     return built_density(2 * n, (images @ images.conj().T) ** alpha / (d * d))
 
 
+def coherent_purity(psi: StateVector, alpha: int) -> float:
+    """sum_ij |G_ij|^{2 alpha} / d^4 for the images' Gram matrix G, the purity of both marginals
+    of ``coherent_prepare``; G is Hermitian, so rows [s, e) skip columns < s, double those >= e."""
+    _check_alpha(alpha)
+    d2 = psi.dim**2
+    check_size("ancilla-marginal dimension", d2, DENSE_DIM)
+    images = pauli_images(psi.amps, np.arange(d2))
+    conj, rows, total = images.conj(), max(1, (1 << 16) // d2), 0.0
+    for s in range(0, d2, rows):
+        g = images[s:s + rows] @ conj[s:].T
+        p = np.minimum(g.real**2 + g.imag**2, 1.0) ** alpha  # |G_ij| <= 1: no overflow
+        total += p[:, :rows].sum() + 2 * p[:, rows:].sum()
+    return float(total) / d2**2
+
+
 def incoherent_sample(psi: StateVector, alpha: int, rng: np.random.Generator) -> StateVector:
     """P_j^{(x)alpha} |psi>^{(x)alpha} for one uniformly drawn string (index forgotten)."""
     _check_alpha(alpha)
     check_size("pure-state qubits", alpha * psi.n, PURE_QUBITS)
     j = int(rng.integers(4**psi.n))
-    return StateVector(alpha * psi.n, _pauli_powers(psi, alpha, [j])[0])
+    return built_state(alpha * psi.n, _pauli_powers(psi, alpha, [j])[0])

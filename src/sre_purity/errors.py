@@ -25,6 +25,7 @@ PAULI_QUBITS = 12  # qubits of one Pauli string
 PURE_QUBITS = 20  # qubits of a pure state
 DENSE_DIM = 4096  # dimension of a density matrix
 OPERATOR_DIM = 1024  # dimension of an explicit operator matrix
+EXACT_WORK = 2**36  # multiply-adds of the exact mixture, d^2 dim^2
 SHOTS = 2**63 - 1  # shots of one binomial draw (numpy draws int64 counts)
 
 

@@ -4,9 +4,10 @@ to an estimate of A_alpha and M_alpha.
 Each method is a route to the exact purity gamma of its prepared state
 (``route_gamma``); a run is then one binomial swap-test draw from gamma
 (``estimate_from_gamma``).  The coherent preparation is pure, so its copies
-and ancilla marginals have one purity; the route squares the smaller one, and
-``marginal`` only names the register the swap test acts on.  M_alpha is
-derived from the aggregated a_hat with ``oracle.m_from_a``, never per shot.
+and ancilla marginals have one purity; ``channels.coherent_purity`` reads it
+without building the register, and ``marginal`` only names the register the
+swap test acts on.  M_alpha is derived from the aggregated a_hat with
+``oracle.m_from_a``, never per shot.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    PreparationMethod,
-    ancilla_marginal_of,
-    coherent_prepare,
-    copies_marginal,
-    exact_channel_output,
-)
+from .channels import PreparationMethod, coherent_purity, exact_channel_output
 from .estimation import check_targets, copies_required, estimate_purity
 from .oracle import a_alpha_exact, m_from_a
 from .states import StateVector, purity
@@ -75,19 +70,14 @@ def route_gamma(req: EstimationRequest) -> float:
 
     Each route's shots are iid with P(0) = (1 + gamma)/2, so gamma is all a
     run needs: the exact mixture gives its purity, the coherent preparation
-    the purity of its smaller marginal (both marginals of a pure state have
-    the same), and the incoherent method A_alpha/d (the mean overlap of two
-    independent draws).
+    the purity shared by both of its marginals, and the incoherent method
+    A_alpha/d (the mean overlap of two independent draws).
     """
-    psi, alpha, n = req.state, req.alpha, req.state.n
+    psi, alpha = req.state, req.alpha
     if req.method is PreparationMethod.EXACT_MIXTURE:
         return purity(exact_channel_output(psi, alpha))
     if req.method is PreparationMethod.COHERENT:
-        prepared = coherent_prepare(psi, alpha)
-        # copies: alpha n qubits, ancilla: 2n
-        if alpha <= 2:
-            return purity(copies_marginal(prepared, n, alpha))
-        return purity(ancilla_marginal_of(prepared, n, alpha))
+        return coherent_purity(psi, alpha)
     if req.method is PreparationMethod.INCOHERENT:
         return a_alpha_exact(psi, alpha) / psi.dim
     raise ValueError(f"unknown method {req.method!r}")

@@ -25,7 +25,7 @@ NORM_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Normalized pure state on n qubits (amplitudes are read-only)."""
+    """Normalized pure state on n qubits, read-only; checked unless from ``built_state``."""
 
     n: int
     amps: np.ndarray
@@ -82,6 +82,14 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return 1 << self.n
+
+
+def built_state(n: int, amps: np.ndarray) -> StateVector:
+    """Wrap 2^n amplitudes of norm one the package built, read-only and unchecked."""
+    amps.setflags(write=False)
+    psi = object.__new__(StateVector)
+    vars(psi).update(n=n, amps=amps)
+    return psi
 
 
 def built_density(n: int, mat: np.ndarray) -> DensityMatrix:
@@ -167,7 +175,7 @@ def pure_density(psi: StateVector) -> DensityMatrix:
 def apply_pauli(p: PauliString, psi: StateVector) -> StateVector:
     if p.n != psi.n:
         raise DimensionError(f"Pauli on {p.n} qubits, state on {psi.n}")
-    return StateVector(psi.n, apply_pauli_amps(p, psi.amps))
+    return built_state(psi.n, apply_pauli_amps(p, psi.amps))
 
 
 def pauli_expval(p: PauliString, psi: StateVector) -> float:
@@ -183,7 +191,7 @@ def tensor_power(psi: StateVector, alpha: int) -> StateVector:
     amps = psi.amps
     for _ in range(alpha - 1):
         amps = np.kron(amps, psi.amps)
-    return StateVector(alpha * psi.n, amps)
+    return built_state(alpha * psi.n, amps)
 
 
 def apply_single_qubit_gate(psi: StateVector, gate: np.ndarray, qubit: int) -> StateVector:
@@ -194,7 +202,7 @@ def apply_single_qubit_gate(psi: StateVector, gate: np.ndarray, qubit: int) -> S
     pre = 1 << (psi.n - 1 - qubit)
     t = psi.amps.reshape(pre, 2, post)
     out = np.einsum("ab,xbz->xaz", gate, t)
-    return StateVector(psi.n, out.reshape(psi.dim))
+    return built_state(psi.n, out.reshape(psi.dim))
 
 
 def hadamard_layer(psi: StateVector, targets) -> StateVector:
@@ -214,7 +222,7 @@ def apply_cnot(psi: StateVector, control: int, target: int) -> StateVector:
     flipped = idx ^ ((idx >> control & 1) << target)
     out = np.empty_like(psi.amps)
     out[flipped] = psi.amps[idx]
-    return StateVector(psi.n, out)
+    return built_state(psi.n, out)
 
 
 def controlled_pauli_power(
@@ -283,7 +291,7 @@ def controlled_pauli_power(
     del idx
     out = np.empty_like(psi.amps)
     out[dest] = vals
-    return StateVector(psi.n, out)
+    return built_state(psi.n, out)
 
 
 # ---------------------------------------------------------------------------

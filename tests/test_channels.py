@@ -18,17 +18,19 @@ from sre_purity.channels import (
     ancilla_marginal,
     ancilla_marginal_of,
     coherent_prepare,
+    coherent_purity,
     copies_marginal,
     exact_channel_output,
     incoherent_sample,
 )
-from sre_purity.clifford import haar_random_state
+from sre_purity.clifford import apply_circuit, haar_random_state, random_clifford_circuit
 from sre_purity.errors import SizeGuardError
 from sre_purity.estimation import state_overlap
 from sre_purity.oracle import a_alpha_exact
 from sre_purity.paulis import pauli_from_index
 from sre_purity.states import (
     StateVector,
+    apply_cnot,
     apply_pauli,
     controlled_pauli_power,
     hadamard_layer,
@@ -294,6 +296,35 @@ def test_construction_sites_build_density_matrices(n, alpha):
         assert np.linalg.eigvalsh(mat).min() >= -1e-9, site
 
 
+@pytest.mark.parametrize("n,alpha", [(1, 1), (1, 3), (2, 2), (3, 2)])
+def test_construction_sites_build_state_vectors(n, alpha):
+    # the package's own vectors skip the norm check, so assert it at each site
+    psi = haar_random_state(n, np.random.default_rng(200 * n + alpha))
+    pair = haar_random_state(n + 1, np.random.default_rng(201 * n + alpha))
+    ancilla = list(range(alpha * n, (alpha + 2) * n))
+    blocks = [list(range(b * n, (b + 1) * n)) for b in range(alpha)]
+    built = {
+        "apply_single_qubit_gate": hadamard_layer(psi, range(n)),
+        "apply_cnot": apply_cnot(pair, 0, n),
+        "apply_circuit": apply_circuit(
+            pair, random_clifford_circuit(n + 1, np.random.default_rng(n))
+        ),
+        "tensor_power": tensor_power(psi, alpha),
+        "apply_pauli": apply_pauli(pauli_from_index(n, 4**n - 1), psi),
+        "coherent_prepare": coherent_prepare(psi, alpha),
+        "controlled_pauli_power": controlled_pauli_power(
+            coherent_prepare(psi, alpha), ancilla, blocks
+        ),
+        "incoherent_sample": incoherent_sample(psi, alpha, _FixedDraw(4**n - 1)),
+    }
+    for site, out in built.items():
+        amps = out.amps
+        assert isinstance(out, StateVector), site
+        assert amps.shape == (out.dim,) and amps.dtype == complex, site
+        assert amps.flags.c_contiguous and not amps.flags.writeable, site
+        assert abs(np.vdot(amps, amps).real - 1.0) <= 1e-12, site
+
+
 # ---------------------------------------------------------------------------
 # incoherent preparation
 
@@ -359,3 +390,7 @@ def test_size_guards():
         exact_channel_output(zero_state(3), 5)  # 2^15 > dense guard
     with pytest.raises(SizeGuardError):
         coherent_prepare(zero_state(3), 6)  # 24 qubits > pure guard
+    with pytest.raises(SizeGuardError):
+        coherent_purity(zero_state(7), 1)  # ancilla dimension 2^14 > dense guard
+    with pytest.raises(SizeGuardError):
+        exact_channel_output(zero_state(10), 1)  # 2^40 multiply-adds > work guard

@@ -3,6 +3,7 @@ byte-level reproducibility."""
 
 import json
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -135,12 +136,11 @@ def test_large_budget_is_one_draw(capsys):
     assert math.isfinite(payload["a_hat"])
 
 
-# inputs one qubit past the 20-qubit register the coherent route prepares:
-# (2 + alpha) n = 21 and 22
+# inputs past the dense guards of the routes: the coherent route's ancilla
+# dimension d^2 = 16384 and the exact mixture's dimension 2^13
 _OVERSIZED_REGISTERS = [
-    ["estimate", "--state", "haar:1:1", "--alpha", "19", "--method", "coherent", "--shots", "0"],
-    ["estimate", "--state", "haar:2:1", "--alpha", "9", "--method", "coherent", "--shots", "0"],
-    ["sweep", "--alphas", "19", "--theta-grid", "0:1:1", "--seeds", "1"],
+    ["estimate", "--state", "haar:7:1", "--alpha", "2", "--method", "coherent", "--shots", "0"],
+    ["sweep", "--method", "exact", "--alphas", "13", "--theta-grid", "0:1:1", "--seeds", "1"],
 ]
 
 
@@ -157,7 +157,7 @@ _OVERSIZED_REGISTERS = [
             "--eps", "1e-9", "--delta", "1e-9", "--seeds", "1",
         ],
     ],
-    ids=["coherent-alpha-19", "coherent-n2-alpha-9", "sweep-alpha-19", "exact-alpha-1e5",
+    ids=["coherent-n7", "sweep-exact-alpha-13", "exact-alpha-1e5",
          "direct-gamma-shots", "direct-single-copy-shots"],
 )
 def test_oversized_request_refused_with_one_line(args, tmp_path, capsys):
@@ -169,7 +169,7 @@ def test_oversized_request_refused_with_one_line(args, tmp_path, capsys):
 
 
 def test_coherent_marginal_refused_before_it_is_allocated(capsys):
-    # the register is refused before it, or either marginal, is allocated
+    # refused before the Pauli images (32 MiB at n=7) or the mixture is allocated
     for args in _OVERSIZED_REGISTERS:
         tracemalloc.start()
         try:
@@ -183,15 +183,32 @@ def test_coherent_marginal_refused_before_it_is_allocated(capsys):
         assert peak < 4 * 2**20, (args, peak)
 
 
-@pytest.mark.parametrize("spec,alpha", [("haar:1:1", 13), ("haar:1:1", 18), ("haar:2:1", 7)])
+@pytest.mark.parametrize(
+    "spec,alpha",
+    [("haar:1:1", 13), ("haar:1:1", 18), ("haar:2:1", 7),
+     # (2 + alpha) n > 20: registers the route never builds
+     ("haar:1:1", 19), ("haar:2:1", 9), ("haar:4:1", 4), ("haar:5:1", 3), ("haar:6:1", 2)],
+)
 def test_coherent_route_fits_every_register_the_guard_allows(spec, alpha, capsys):
-    # the route squares the smaller marginal, at most 2^10 on a 20-qubit register
+    # only the ancilla dimension d^2 <= 4096 bounds the route, so n <= 6 at every alpha
     args = ["estimate", "--state", spec, "--alpha", str(alpha), "--method", "coherent",
             "--shots", "0"]
     assert run_cli(args) == 0
     payload = json.loads(capsys.readouterr().out)
     psi = parse_state_spec(spec)
     assert payload["gamma_hat"] == pytest.approx(a_alpha_exact(psi, alpha) / psi.dim, abs=1e-12)
+
+
+def test_exact_route_refuses_its_work_before_the_first_block(capsys):
+    # alpha = 1 at n = 12 is d^2 dim^2 = 2^48 multiply-adds, hours of products
+    args = ["estimate", "--state", "haar:12:1", "--alpha", "1", "--method", "exact",
+            "--shots", "0"]
+    start = time.perf_counter()
+    assert run_cli(args) == 3
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("size guard:") and captured.err.count("\n") == 1
 
 
 def test_memory_error_exits_3_with_one_line(monkeypatch, capsys):

@@ -2,6 +2,7 @@
 method equivalence, and post-processing of the entropy from the estimate."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,27 @@ def test_coherent_gamma_is_the_purity_of_either_marginal(n, alpha):
     assert gamma == pytest.approx(purity(copies_marginal(prepared, n, alpha)), abs=1e-12)
     assert gamma == pytest.approx(purity(ancilla_marginal_of(prepared, n, alpha)), abs=1e-12)
     assert gamma == pytest.approx(a_alpha_exact(psi, alpha) / psi.dim, abs=1e-12)
+
+
+def test_coherent_route_peak_memory():
+    # n = 6, alpha = 3: a 2^24-amplitude register before, now the 4 MiB images
+    psi = haar_random_state(6, np.random.default_rng(63))
+    req = _request(state=psi, alpha=3)
+    tracemalloc.start()
+    try:
+        route_gamma(req)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
+@pytest.mark.parametrize("alpha", [10**5, 10**30])
+def test_coherent_route_is_finite_at_huge_alpha(alpha):
+    # |G_ii| rounds to 1 +- 1e-16, which the power would blow up without the
+    # clip to |G_ij| <= 1; off the diagonal every |G_ij| < 1 for a Haar state
+    psi = haar_random_state(1, np.random.default_rng(1))
+    assert route_gamma(_request(state=psi, alpha=alpha)) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_zero_shot_mode_uses_the_selected_route(monkeypatch):
