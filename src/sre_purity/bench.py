@@ -6,16 +6,23 @@ direct estimators used for sample-complexity comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import PreparationMethod, coherent_prepare
-from .errors import OPERATOR_DIM, PURE_QUBITS, SHOTS, check_size
-from .estimation import budget_ceil, check_targets
-from .oracle import a_alpha_exact, closed_form_a, m_alpha_exact, m_from_a, pauli_expectations
+from .channels import PreparationMethod, coherent_prepare, coherent_purity
+from .errors import OPERATOR_DIM, SHOTS, check_size
+from .estimation import budget_ceil, check_targets, copies_required
+from .oracle import (
+    _a_alpha,
+    a_alpha_exact,
+    closed_form_a,
+    m_alpha_exact,
+    m_from_a,
+    pauli_expectations,
+)
 from .paulis import pauli_from_index
-from .pipeline import EstimateReport, EstimationRequest, estimate_from_gamma, route_gamma
+from .pipeline import EstimateReport, EstimationRequest, draw_gamma, route_gamma
 from .states import (
     BipartiteSplit,
     StateVector,
@@ -130,8 +137,9 @@ def sweep_theta(
 ) -> list[SweepRow]:
     """One estimation run per (theta, alpha, seed) at the full copy budget.
 
-    The route's gamma is computed once per (theta, alpha); each seed is then
-    one swap-test draw from it, exactly as ``run_estimation`` would make.
+    The budget is computed once per alpha (every theta is one qubit) and the
+    route's gamma once per (theta, alpha); each seed is then one swap-test
+    draw from it, exactly as ``run_estimation`` would make.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
@@ -140,30 +148,23 @@ def sweep_theta(
     check_targets(epsilon, delta)
     rows = []
     for alpha in alphas:
+        shots = copies_required(alpha, 2, epsilon, delta).swap_shots
         for ti, theta in enumerate(theta_grid):
             exact = closed_form_a(theta, alpha)
-            base = EstimationRequest(
-                state=phase_state(theta),
-                alpha=alpha,
-                epsilon=epsilon,
-                delta=delta,
-                method=method,
-                seed=0,
-                state_spec=f"theta:{theta!r}",
-            )
-            gamma = route_gamma(base)
+            req = EstimationRequest(phase_state(theta), alpha, epsilon, delta, method, seed=0)
+            gamma = route_gamma(req)
             for s in range(n_seeds):
-                req = replace(base, seed=_task_seed(master_seed, (int(alpha), ti, s)))
-                rep = estimate_from_gamma(req, gamma)
-                err = abs(rep.a_hat - exact)
+                ts = _task_seed(master_seed, (int(alpha), ti, s))
+                a_hat = 2 * draw_gamma(gamma, shots, ts)[0]
+                err = abs(a_hat - exact)
                 rows.append(
                     SweepRow(
                         theta=float(theta),
                         alpha=int(alpha),
-                        a_hat=rep.a_hat,
+                        a_hat=a_hat,
                         a_exact=exact,
                         abs_error=err,
-                        copies_used=rep.copies_used,
+                        copies_used=2 * alpha * shots,
                         seed=s,
                         within_eps=bool(err <= epsilon),
                     )
@@ -176,21 +177,23 @@ def sweep_theta(
 
 
 def direct_gamma_estimate(
-    psi: StateVector,
+    expectations: np.ndarray,
     alpha: int,
     shots_per_string: int,
     rng: np.random.Generator,
     seed: int = -1,
 ) -> EstimateReport:
     """Average of per-string +/-1 outcomes of the d^2 strings P_j^{(x)2a}
-    measured on |psi>^{(x)2a}; exactly unbiased for A_alpha."""
-    check_size("pure-state qubits", 2 * alpha * psi.n, PURE_QUBITS)
+    measured on |psi>^{(x)2a}; exactly unbiased for A_alpha.
+
+    ``expectations`` is the state's ``oracle.pauli_expectations`` vector.
+    """
     check_size("shots", shots_per_string, SHOTS)
-    d = psi.dim
+    d = math.isqrt(len(expectations))
     k = shots_per_string
-    means = pauli_expectations(psi) ** (2 * alpha)
     # |<P>| may round above 1; the clip keeps the shot law a distribution
-    successes = rng.binomial(k, np.clip(0.5 * (1.0 + means), 0.0, 1.0))
+    means = np.minimum(np.abs(expectations), 1.0) ** (2 * alpha)
+    successes = rng.binomial(k, 0.5 * (1.0 + means))
     per_string = 2.0 * successes / k - 1.0
     a_hat = float(per_string.sum() / d)
     m_hat = m_from_a(a_hat, alpha) if alpha >= 2 and a_hat > 0 else None
@@ -209,7 +212,7 @@ def direct_gamma_estimate(
 
 
 def direct_single_copy_estimate(
-    psi: StateVector,
+    expectations: np.ndarray,
     alpha: int,
     epsilon: float,
     delta: float,
@@ -219,17 +222,17 @@ def direct_single_copy_estimate(
 ) -> EstimateReport:
     """Estimate every <P_j> from single-copy shots, then d^{-1} sum O_j^{2a}.
 
-    The per-string error target tau = epsilon/(2 alpha d) keeps the
+    ``expectations`` is the state's ``oracle.pauli_expectations`` vector.  The
+    per-string error target tau = epsilon/(2 alpha d) keeps the
     post-processed power sum within epsilon.
     """
-    d = psi.dim
+    d = math.isqrt(len(expectations))
     if shots_per_string is None:
         # tau^-2 delta^-1 with tau = epsilon/(2 alpha d)
         shots_per_string = budget_ceil((2 * alpha * d) ** 2, epsilon, delta)
     check_size("shots", shots_per_string, SHOTS)
     k = shots_per_string
-    means = pauli_expectations(psi)
-    successes = rng.binomial(k, np.clip(0.5 * (1.0 + means), 0.0, 1.0))
+    successes = rng.binomial(k, np.clip(0.5 * (1.0 + expectations), 0.0, 1.0))
     o_j = 2.0 * successes / k - 1.0
     a_hat = float(np.sum(o_j ** (2 * alpha)) / d)
     m_hat = m_from_a(a_hat, alpha) if alpha >= 2 and a_hat > 0 else None
@@ -271,9 +274,11 @@ def complexity_table(
 ) -> list[ComplexityRow]:
     """Empirical RMSE of each method at its prescribed budget for the target error.
 
-    swap_purity computes its route's gamma once per alpha; each (epsilon,
-    seed) run is then one swap-test draw from it, exactly as
-    ``run_estimation`` would make.
+    The state's 4^n Pauli expectations are evaluated once per table: they
+    give every alpha's exact A_alpha and feed both direct estimators.
+    swap_purity computes its route's gamma once per alpha and its budget once
+    per (alpha, epsilon); each seed is then one swap-test draw from gamma,
+    exactly as ``run_estimation`` would make.
     """
     known = ("swap_purity", "direct_gamma", "direct_single_copy")
     if n_seeds < 1:
@@ -282,39 +287,45 @@ def complexity_table(
         raise ValueError("nothing to compute: no methods, alphas or epsilons")
     for epsilon in epsilons:
         budget_ceil(1, epsilon, delta)  # refuses a non-positive or non-finite target
-    rows = []
     for method in methods:
         if method not in known:
             raise ValueError(f"unknown method {method!r}")
+    for alpha in alphas:
+        if alpha < 1:
+            raise ValueError(f"alpha must be >= 1, got {alpha}")
+    d = state.dim
+    expectations = pauli_expectations(state)
+    rows = []
+    for method in methods:
+        index = known.index(method)
         for alpha in alphas:
-            exact = a_alpha_exact(state, alpha)
+            exact = _a_alpha(expectations, d, alpha)
             if method == "swap_purity":
-                swap = EstimationRequest(
-                    state=state,
-                    alpha=alpha,
-                    epsilon=epsilons[0],
-                    delta=delta,
-                    method=PreparationMethod.COHERENT,
-                    seed=0,
-                )
-                gamma = route_gamma(swap)
+                # the budgets refuse a target outside (0, 1] before the route runs
+                swap_shots = [copies_required(alpha, d, eps, delta).swap_shots for eps in epsilons]
+                gamma = coherent_purity(state, alpha)
             for ei, epsilon in enumerate(epsilons):
-                errs = []
-                copies = 0
-                for s in range(n_seeds):
-                    ts = _task_seed(master_seed, (known.index(method), int(alpha), ei, s))
-                    rng = np.random.default_rng(np.random.SeedSequence(ts))
-                    if method == "swap_purity":
-                        rep = estimate_from_gamma(replace(swap, epsilon=epsilon, seed=ts), gamma)
-                    elif method == "direct_gamma":
+                key = (index, int(alpha), ei)
+                seeds = [_task_seed(master_seed, key + (s,)) for s in range(n_seeds)]
+                if method == "swap_purity":
+                    shots = swap_shots[ei]
+                    a_hats = [d * draw_gamma(gamma, shots, ts)[0] for ts in seeds]
+                    copies = 2 * alpha * shots
+                else:
+                    if method == "direct_gamma":
                         k = budget_ceil(1, epsilon, delta)
-                        rep = direct_gamma_estimate(state, alpha, k, rng, seed=ts)
+                        reps = [direct_gamma_estimate(expectations, alpha, k, _rng(ts), seed=ts)
+                                for ts in seeds]
                     else:
-                        rep = direct_single_copy_estimate(
-                            state, alpha, epsilon, delta, rng, seed=ts
-                        )
-                    errs.append(rep.a_hat - exact)
-                    copies = max(copies, rep.copies_used)
+                        reps = [direct_single_copy_estimate(expectations, alpha, epsilon, delta,
+                                                            _rng(ts), seed=ts) for ts in seeds]
+                    a_hats = [rep.a_hat for rep in reps]
+                    copies = reps[0].copies_used
+                errs = [a_hat - exact for a_hat in a_hats]
                 rmse = float(np.sqrt(np.mean(np.square(errs))))
                 rows.append(ComplexityRow(method, int(alpha), float(epsilon), copies, rmse))
     return rows
+
+
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed))

@@ -81,7 +81,9 @@ def _check_alpha(alpha: int) -> None:
 
 
 def _a_alpha(e: np.ndarray, dim: int, alpha: int) -> float:
-    return float(np.sum(e ** (2 * alpha)) / dim)
+    # |<P>| <= 1, but <I> and the expectations of stabilizers round to 1 +- 1e-16,
+    # which the power would blow up at huge alpha
+    return float(np.sum(np.minimum(np.abs(e), 1.0) ** (2 * alpha)) / dim)
 
 
 def a_alpha_exact(psi: StateVector, alpha: int) -> float:

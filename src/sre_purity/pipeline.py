@@ -2,8 +2,9 @@
 to an estimate of A_alpha and M_alpha.
 
 Each method is a route to the exact purity gamma of its prepared state
-(``route_gamma``); a run is then one binomial swap-test draw from gamma
-(``estimate_from_gamma``).  The coherent preparation is pure, so its copies
+(``route_gamma``); a run is then one seeded binomial swap-test draw from
+gamma (``draw_gamma``, which ``estimate_from_gamma`` and the tables in
+``bench`` share).  The coherent preparation is pure, so its copies
 and ancilla marginals have one purity; ``channels.coherent_purity`` reads it
 without building the register, and ``marginal`` only names the register the
 swap test acts on.  M_alpha is derived from the aggregated a_hat with
@@ -83,18 +84,21 @@ def route_gamma(req: EstimationRequest) -> float:
     raise ValueError(f"unknown method {req.method!r}")
 
 
+def draw_gamma(gamma: float, shots: int, seed: int) -> tuple[float, float]:
+    """(gamma_hat, stderr) of ``shots`` swap-test shots on a route of purity
+    ``gamma``, drawn from the stream of ``seed``; 0 shots give gamma itself."""
+    if shots == 0:
+        return gamma, 0.0
+    return estimate_purity(gamma, shots, np.random.default_rng(np.random.SeedSequence(seed)))
+
+
 def estimate_from_gamma(req: EstimationRequest, gamma: float) -> EstimateReport:
     """The report of ``req`` given its route's gamma: one seeded swap-test draw
     at the request's shot count, or gamma itself when that count is 0."""
     d = req.state.dim
     budget = copies_required(req.alpha, d, req.epsilon, req.delta)
     shots = budget.swap_shots if req.shots is None else req.shots
-    if shots == 0:
-        gamma_hat, stderr = gamma, 0.0
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(req.seed))
-        gamma_hat, stderr = estimate_purity(gamma, shots, rng)
-
+    gamma_hat, stderr = draw_gamma(gamma, shots, req.seed)
     a_hat = d * gamma_hat
     m_hat = None
     if req.alpha >= 2 and a_hat > 0:

@@ -17,7 +17,7 @@ from sre_purity.bench import (
 )
 from sre_purity.channels import PreparationMethod, coherent_prepare, copies_marginal
 from sre_purity.estimation import copies_required, estimate_purity
-from sre_purity.oracle import a_alpha_exact
+from sre_purity.oracle import a_alpha_exact, pauli_expectations
 from sre_purity.pipeline import EstimationRequest, run_estimation
 from sre_purity.states import phase_state, purity
 from sre_purity.clifford import haar_random_state
@@ -174,9 +174,10 @@ def test_criterion_10_direct_estimator_comparisons():
     # (a) unbiasedness of both direct estimators, n=1, alpha=2, 10^3 seeds
     psi = phase_state(PI4)
     exact = a_alpha_exact(psi, 2)
+    e = pauli_expectations(psi)
     rng = np.random.default_rng(1001)
     gamma_vals = np.array(
-        [direct_gamma_estimate(psi, 2, 250, rng).a_hat for _ in range(1000)]
+        [direct_gamma_estimate(e, 2, 250, rng).a_hat for _ in range(1000)]
     )
     gamma_se = gamma_vals.std(ddof=1) / math.sqrt(len(gamma_vals))
     gamma_dev = abs(gamma_vals.mean() - exact)
@@ -184,7 +185,7 @@ def test_criterion_10_direct_estimator_comparisons():
     single_vals = np.array(
         [
             direct_single_copy_estimate(
-                psi, 2, 0.05, 0.1, rng, shots_per_string=40_000
+                e, 2, 0.05, 0.1, rng, shots_per_string=40_000
             ).a_hat
             for _ in range(1000)
         ]
@@ -195,6 +196,7 @@ def test_criterion_10_direct_estimator_comparisons():
     # (b) copies-for-equal-rmse ordering at n=2, alpha=2
     psi2 = haar_random_state(2, np.random.default_rng(77))
     exact2 = a_alpha_exact(psi2, 2)
+    e2 = pauli_expectations(psi2)
     eps, delta = 0.1, 0.1
     swap_budget = copies_required(2, 4, eps, delta)
     swap_errs, single_errs = [], []
@@ -208,7 +210,7 @@ def test_criterion_10_direct_estimator_comparisons():
         )
         swap_errs.append(rep_s.a_hat - exact2)
         rep_d = direct_single_copy_estimate(
-            psi2, 2, eps, delta, np.random.default_rng(5000 + seed)
+            e2, 2, eps, delta, np.random.default_rng(5000 + seed)
         )
         single_errs.append(rep_d.a_hat - exact2)
         single_copies = rep_d.copies_used

@@ -2,10 +2,13 @@
 accuracy sweep, and the direct-estimation baselines."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import sre_purity.bench as bench
+import sre_purity.oracle as oracle
 from sre_purity.bench import (
     _task_seed,
     build_gamma,
@@ -19,8 +22,8 @@ from sre_purity.bench import (
 )
 from sre_purity.clifford import haar_random_state
 from sre_purity.errors import SizeGuardError
-from sre_purity.estimation import copies_required, estimate_purity
-from sre_purity.oracle import a_alpha_exact
+from sre_purity.estimation import budget_ceil, copies_required, estimate_purity
+from sre_purity.oracle import a_alpha_exact, pauli_expectations
 from sre_purity.pipeline import EstimationRequest, run_estimation
 from sre_purity.states import (
     BipartiteSplit,
@@ -169,37 +172,39 @@ def test_sweep_rows_equal_per_seed_runs(method):
 
 
 def test_direct_gamma_zero_noise_limit():
-    psi = phase_state(PI4)
-    rep = direct_gamma_estimate(psi, 2, 2_000_000, np.random.default_rng(3))
+    e = pauli_expectations(phase_state(PI4))
+    rep = direct_gamma_estimate(e, 2, 2_000_000, np.random.default_rng(3))
     assert abs(rep.a_hat - 0.75) < 0.005
     assert rep.copies_used == 4 * 2_000_000 * 4  # d^2 strings, 2 alpha copies each
 
 
 def test_direct_gamma_seeded_run_within_tolerance():
-    rep = direct_gamma_estimate(phase_state(PI4), 2, 10_000, np.random.default_rng(12))
+    e = pauli_expectations(phase_state(PI4))
+    rep = direct_gamma_estimate(e, 2, 10_000, np.random.default_rng(12))
     assert abs(rep.a_hat - 0.75) < 0.05
 
 
 def test_direct_gamma_unbiased():
-    psi = phase_state(PI4)
+    e = pauli_expectations(phase_state(PI4))
     rng = np.random.default_rng(21)
-    vals = np.array([direct_gamma_estimate(psi, 2, 250, rng).a_hat for _ in range(1000)])
+    vals = np.array([direct_gamma_estimate(e, 2, 250, rng).a_hat for _ in range(1000)])
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - 0.75) < 3 * se
 
 
 def test_direct_single_copy_zero_noise_limit():
-    psi = phase_state(PI4)
+    e = pauli_expectations(phase_state(PI4))
     rep = direct_single_copy_estimate(
-        psi, 2, 0.05, 0.1, np.random.default_rng(4), shots_per_string=4_000_000
+        e, 2, 0.05, 0.1, np.random.default_rng(4), shots_per_string=4_000_000
     )
     assert abs(rep.a_hat - 0.75) < 0.005
 
 
 def test_direct_single_copy_zero_state_small_strings_vanish():
     # for |0> only I and Z carry signal; X and Y contribute O(k^-alpha)
+    e = pauli_expectations(zero_state(1))
     rep = direct_single_copy_estimate(
-        zero_state(1), 2, 0.05, 0.1, np.random.default_rng(5), shots_per_string=100_000
+        e, 2, 0.05, 0.1, np.random.default_rng(5), shots_per_string=100_000
     )
     assert abs(rep.a_hat - 1.0) < 0.01
 
@@ -209,8 +214,8 @@ def test_direct_single_copy_budget_scaling_in_d():
     eps, delta, alpha = 0.2, 0.5, 2
     copies = {}
     for n in (1, 2):
-        psi = zero_state(n)
-        rep = direct_single_copy_estimate(psi, alpha, eps, delta, np.random.default_rng(0))
+        e = pauli_expectations(zero_state(n))
+        rep = direct_single_copy_estimate(e, alpha, eps, delta, np.random.default_rng(0))
         copies[2**n] = rep.copies_used
     exponent = math.log(copies[4] / copies[2]) / math.log(2)
     assert abs(exponent - 4.0) < 0.3
@@ -252,6 +257,58 @@ def test_complexity_swap_rows_equal_per_seed_runs():
             rmse = float(np.sqrt(np.mean(np.square([r.a_hat - exact for r in reps]))))
             expected.append((alpha, eps, reps[0].copies_used, rmse))
     assert [(r.alpha, r.epsilon_target, r.copies, r.empirical_rmse) for r in rows] == expected
+
+
+def test_complexity_table_evaluates_expectations_once(monkeypatch):
+    calls = []
+    original = oracle.pauli_expectations
+
+    def counted(psi):
+        calls.append(psi)
+        return original(psi)
+
+    # every binding of the function, as the benchmark's tracer counts it
+    monkeypatch.setattr(oracle, "pauli_expectations", counted)
+    monkeypatch.setattr(bench, "pauli_expectations", counted)
+    psi = haar_random_state(2, np.random.default_rng(42))
+    methods = ["swap_purity", "direct_gamma", "direct_single_copy"]
+    complexity_table(methods, [2, 3], [0.1, 0.2], 4, psi, master_seed=3)
+    assert calls == [psi]
+
+
+def test_complexity_direct_rows_equal_per_seed_runs():
+    psi = haar_random_state(3, np.random.default_rng(9))  # haar:3:9
+    e = pauli_expectations(psi)
+    epsilons, delta, n_seeds = [0.2, 0.3], 0.1, 3
+    methods = ["direct_gamma", "direct_single_copy"]
+    rows = complexity_table(methods, [2, 3], epsilons, n_seeds, psi, delta=delta, master_seed=8)
+    expected = []
+    for mi, method in enumerate(methods, start=1):
+        for alpha in (2, 3):
+            exact = a_alpha_exact(psi, alpha)
+            for ei, eps in enumerate(epsilons):
+                reps = []
+                for s in range(n_seeds):
+                    ts = _task_seed(8, (mi, alpha, ei, s))
+                    rng = np.random.default_rng(np.random.SeedSequence(ts))
+                    if method == "direct_gamma":
+                        k = budget_ceil(1, eps, delta)
+                        reps.append(direct_gamma_estimate(e, alpha, k, rng, seed=ts))
+                    else:
+                        reps.append(direct_single_copy_estimate(e, alpha, eps, delta, rng, seed=ts))
+                rmse = float(np.sqrt(np.mean(np.square([r.a_hat - exact for r in reps]))))
+                expected.append((method, alpha, eps, reps[0].copies_used, rmse))
+    got = [(r.method, r.alpha, r.epsilon_target, r.copies, r.empirical_rmse) for r in rows]
+    assert got == expected
+
+
+def test_direct_gamma_is_finite_at_huge_alpha():
+    # <I> rounds to 1 + 1e-16 on this state; its power must not overflow
+    e = pauli_expectations(haar_random_state(1, np.random.default_rng(1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = direct_gamma_estimate(e, 10**30, 1000, np.random.default_rng(2))
+    assert math.isfinite(rep.a_hat)
 
 
 def test_complexity_rmse_scaling_with_copies():

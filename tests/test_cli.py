@@ -391,6 +391,33 @@ def test_complexity_on_states_with_rounded_up_expectations(spec, tmp_path):
     ]) == 0
 
 
+def test_complexity_on_six_qubits(tmp_path):
+    # the direct estimators build only the 4^n expectations, which the Pauli
+    # guard bounds; no pure-state guard on 2 alpha n copies refuses them
+    out = tmp_path / "cx.csv"
+    assert run_cli([
+        "complexity", "--state", "haar:6:1", "--alphas", "2,3", "--seeds", "2", "--out", str(out),
+    ]) == 0
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert len(rows) == 1 + 6
+
+
+@pytest.mark.parametrize("alpha", [10**12, 10**30])
+@pytest.mark.parametrize(
+    "command", [["oracle"], ["estimate", "--method", "incoherent", "--shots", "0"]],
+    ids=["oracle", "incoherent"],
+)
+def test_exact_a_alpha_is_finite_at_huge_alpha(command, alpha, capsys):
+    # <I> rounds to 1 + 1e-16 on haar:1:1; clipped to 1, only it survives the
+    # power, so A_alpha is its limit 1/d
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(command[:1] + ["--state", "haar:1:1", "--alpha", str(alpha)] + command[1:])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload.get("a_alpha", payload.get("a_hat")) == 0.5
+
+
 def test_unwritable_output_exit_code(tmp_path):
     assert run_cli([
         "oracle", "--state", "theta:0", "--alpha", "2",
