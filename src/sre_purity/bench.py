@@ -13,24 +13,10 @@ import numpy as np
 from .channels import PreparationMethod, coherent_prepare, coherent_purity
 from .errors import OPERATOR_DIM, SHOTS, check_size
 from .estimation import budget_ceil, check_targets, copies_required
-from .oracle import (
-    _a_alpha,
-    a_alpha_exact,
-    closed_form_a,
-    m_alpha_exact,
-    m_from_a,
-    pauli_expectations,
-)
+from .oracle import a_alpha_exact, a_alpha_of, closed_form_a, m_alpha_exact, pauli_expectations
 from .paulis import pauli_from_index
-from .pipeline import EstimateReport, EstimationRequest, draw_gamma, route_gamma
-from .states import (
-    BipartiteSplit,
-    StateVector,
-    phase_state,
-    renyi_entanglement,
-    schmidt_spectrum,
-    tensor_power,
-)
+from .pipeline import EstimationRequest, draw_gamma, route_gamma
+from .states import StateVector, phase_state, renyi_entanglement, schmidt_spectrum, tensor_power
 
 # ---------------------------------------------------------------------------
 # replica-trick observable
@@ -92,11 +78,8 @@ def entanglement_identity_residual(psi: StateVector, alpha: int) -> float:
     """|(1-alpha) M_alpha + E_2(prepared, ancilla|copies split) - ln d|."""
     n = psi.n
     prepared = coherent_prepare(psi, alpha)
-    split = BipartiteSplit(
-        subsystem_a=tuple(range(alpha * n, (alpha + 2) * n)),
-        subsystem_b=tuple(range(alpha * n)),
-    )
-    e2 = renyi_entanglement(schmidt_spectrum(prepared, split), 2.0)
+    ancilla = range(alpha * n, (alpha + 2) * n)
+    e2 = renyi_entanglement(schmidt_spectrum(prepared, ancilla), 2.0)
     if alpha >= 2:
         lhs = (1 - alpha) * m_alpha_exact(psi, alpha) + e2
     else:
@@ -181,10 +164,9 @@ def direct_gamma_estimate(
     alpha: int,
     shots_per_string: int,
     rng: np.random.Generator,
-    seed: int = -1,
-) -> EstimateReport:
-    """Average of per-string +/-1 outcomes of the d^2 strings P_j^{(x)2a}
-    measured on |psi>^{(x)2a}; exactly unbiased for A_alpha.
+) -> tuple[float, int]:
+    """(a_hat, copies): the average of per-string +/-1 outcomes of the d^2
+    strings P_j^{(x)2a} measured on |psi>^{(x)2a}; exactly unbiased for A_alpha.
 
     ``expectations`` is the state's ``oracle.pauli_expectations`` vector.
     """
@@ -195,20 +177,12 @@ def direct_gamma_estimate(
     means = np.minimum(np.abs(expectations), 1.0) ** (2 * alpha)
     successes = rng.binomial(k, 0.5 * (1.0 + means))
     per_string = 2.0 * successes / k - 1.0
-    a_hat = float(per_string.sum() / d)
-    m_hat = m_from_a(a_hat, alpha) if alpha >= 2 and a_hat > 0 else None
-    return EstimateReport(
-        gamma_hat=a_hat / d,
-        gamma_stderr=float("nan"),
-        a_hat=a_hat,
-        m_hat=m_hat,
-        alpha=alpha,
-        shots_used=k,
-        copies_used=d * d * k * 2 * alpha,
-        seed=seed,
-        method="direct_gamma",
-        state_spec="",
-    )
+    return float(per_string.sum() / d), d * d * k * 2 * alpha
+
+
+def _single_copy_shots(alpha: int, d: int, epsilon: float, delta: float) -> int:
+    """tau^-2 delta^-1 shots per string, with tau = epsilon/(2 alpha d)."""
+    return budget_ceil((2 * alpha * d) ** 2, epsilon, delta)
 
 
 def direct_single_copy_estimate(
@@ -218,9 +192,9 @@ def direct_single_copy_estimate(
     delta: float,
     rng: np.random.Generator,
     shots_per_string: int | None = None,
-    seed: int = -1,
-) -> EstimateReport:
-    """Estimate every <P_j> from single-copy shots, then d^{-1} sum O_j^{2a}.
+) -> tuple[float, int]:
+    """(a_hat, copies): every <P_j> estimated from single-copy shots, then
+    d^{-1} sum O_j^{2a}.
 
     ``expectations`` is the state's ``oracle.pauli_expectations`` vector.  The
     per-string error target tau = epsilon/(2 alpha d) keeps the
@@ -228,26 +202,12 @@ def direct_single_copy_estimate(
     """
     d = math.isqrt(len(expectations))
     if shots_per_string is None:
-        # tau^-2 delta^-1 with tau = epsilon/(2 alpha d)
-        shots_per_string = budget_ceil((2 * alpha * d) ** 2, epsilon, delta)
+        shots_per_string = _single_copy_shots(alpha, d, epsilon, delta)
     check_size("shots", shots_per_string, SHOTS)
     k = shots_per_string
     successes = rng.binomial(k, np.clip(0.5 * (1.0 + expectations), 0.0, 1.0))
     o_j = 2.0 * successes / k - 1.0
-    a_hat = float(np.sum(o_j ** (2 * alpha)) / d)
-    m_hat = m_from_a(a_hat, alpha) if alpha >= 2 and a_hat > 0 else None
-    return EstimateReport(
-        gamma_hat=a_hat / d,
-        gamma_stderr=float("nan"),
-        a_hat=a_hat,
-        m_hat=m_hat,
-        alpha=alpha,
-        shots_used=k,
-        copies_used=d * d * k,
-        seed=seed,
-        method="direct_single_copy",
-        state_spec="",
-    )
+    return float(np.sum(o_j ** (2 * alpha)) / d), d * d * k
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +234,13 @@ def complexity_table(
 ) -> list[ComplexityRow]:
     """Empirical RMSE of each method at its prescribed budget for the target error.
 
-    The state's 4^n Pauli expectations are evaluated once per table: they
-    give every alpha's exact A_alpha and feed both direct estimators.
-    swap_purity computes its route's gamma once per alpha and its budget once
-    per (alpha, epsilon); each seed is then one swap-test draw from gamma,
-    exactly as ``run_estimation`` would make.
+    swap_purity computes its budget once per (alpha, epsilon) and its route's
+    gamma once per alpha, before anything else, so the route's ancilla guard
+    refuses an oversized state at once; each seed is then one swap-test draw
+    from gamma, exactly as ``run_estimation`` would make.  The state's 4^n
+    Pauli expectations are evaluated once per table: they give every alpha's
+    exact A_alpha and feed both direct estimators, whose shot counts are
+    computed once per (alpha, epsilon).
     """
     known = ("swap_purity", "direct_gamma", "direct_single_copy")
     if n_seeds < 1:
@@ -294,33 +256,37 @@ def complexity_table(
         if alpha < 1:
             raise ValueError(f"alpha must be >= 1, got {alpha}")
     d = state.dim
+    swap = {}
+    if "swap_purity" in methods:
+        # the budgets refuse a target outside (0, 1] before the route runs
+        for alpha in alphas:
+            shots = [copies_required(alpha, d, eps, delta).swap_shots for eps in epsilons]
+            swap[alpha] = shots, coherent_purity(state, alpha)
     expectations = pauli_expectations(state)
     rows = []
     for method in methods:
         index = known.index(method)
         for alpha in alphas:
-            exact = _a_alpha(expectations, d, alpha)
-            if method == "swap_purity":
-                # the budgets refuse a target outside (0, 1] before the route runs
-                swap_shots = [copies_required(alpha, d, eps, delta).swap_shots for eps in epsilons]
-                gamma = coherent_purity(state, alpha)
+            exact = a_alpha_of(expectations, alpha)
             for ei, epsilon in enumerate(epsilons):
                 key = (index, int(alpha), ei)
                 seeds = [_task_seed(master_seed, key + (s,)) for s in range(n_seeds)]
                 if method == "swap_purity":
-                    shots = swap_shots[ei]
+                    budgets, gamma = swap[alpha]
+                    shots = budgets[ei]
                     a_hats = [d * draw_gamma(gamma, shots, ts)[0] for ts in seeds]
                     copies = 2 * alpha * shots
                 else:
                     if method == "direct_gamma":
                         k = budget_ceil(1, epsilon, delta)
-                        reps = [direct_gamma_estimate(expectations, alpha, k, _rng(ts), seed=ts)
+                        runs = [direct_gamma_estimate(expectations, alpha, k, _rng(ts))
                                 for ts in seeds]
                     else:
-                        reps = [direct_single_copy_estimate(expectations, alpha, epsilon, delta,
-                                                            _rng(ts), seed=ts) for ts in seeds]
-                    a_hats = [rep.a_hat for rep in reps]
-                    copies = reps[0].copies_used
+                        k = _single_copy_shots(alpha, d, epsilon, delta)
+                        runs = [direct_single_copy_estimate(expectations, alpha, epsilon, delta,
+                                                            _rng(ts), k) for ts in seeds]
+                    a_hats = [a_hat for a_hat, _ in runs]
+                    copies = runs[0][1]
                 errs = [a_hat - exact for a_hat in a_hats]
                 rmse = float(np.sqrt(np.mean(np.square(errs))))
                 rows.append(ComplexityRow(method, int(alpha), float(epsilon), copies, rmse))

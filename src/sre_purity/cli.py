@@ -31,7 +31,7 @@ from .channels import PreparationMethod
 from .clifford import haar_random_state
 from .errors import SizeGuardError
 from .estimation import copies_required
-from .oracle import sre_value, sre_value_and_distribution
+from .oracle import a_alpha_exact, a_alpha_of, m_from_a, pauli_expectations
 from .paulis import pauli_labels
 from .pipeline import EstimationRequest, run_estimation
 from .states import StateVector, phase_state, zero_state
@@ -160,19 +160,24 @@ def _csv_cell(value) -> str:
 def cmd_oracle(args) -> int:
     psi = parse_state_spec(args.state)
     if args.dist:
-        val, dist = sre_value_and_distribution(psi, args.alpha)
+        # one evaluation of the 4^n expectations gives both A_alpha and the
+        # distribution; a bad alpha is refused before it, as a_alpha_exact does
+        if args.alpha < 1:
+            raise ValueError(f"alpha must be >= 1, got {args.alpha}")
+        expectations = pauli_expectations(psi)
+        a_alpha = a_alpha_of(expectations, args.alpha)
     else:
-        val = sre_value(psi, args.alpha)
+        a_alpha = a_alpha_exact(psi, args.alpha)
     payload = {
         "meta": _meta(_config(args)),
         "state": args.state,
         "n": psi.n,
         "alpha": args.alpha,
-        "a_alpha": val.a_alpha,
-        "m_alpha": val.m_alpha,
+        "a_alpha": a_alpha,
+        "m_alpha": m_from_a(a_alpha, args.alpha) if args.alpha >= 2 else None,
     }
     if args.dist:
-        payload["characteristic_distribution"] = list(dist.probs)
+        payload["characteristic_distribution"] = list(expectations**2 / psi.dim)
         payload["pauli_order"] = pauli_labels(psi.n)
     _emit_json(payload, args.out)
     return 0

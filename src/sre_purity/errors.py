@@ -17,7 +17,7 @@ class SizeGuardError(ValueError):
 
 
 class NormalizationError(ValueError):
-    """A state or distribution violates its normalization invariant."""
+    """A state or density matrix violates its normalization invariant."""
 
 
 # The size-guard table.

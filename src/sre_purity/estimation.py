@@ -13,7 +13,6 @@ law: the tests read 2 p0 - 1 off it and compare it with each route's gamma.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,8 +30,6 @@ def _decimal_ratio(x: float) -> tuple[int, int]:
     return (mantissa * 10**shift, 1) if shift >= 0 else (mantissa, 10**-shift)
 
 
-# sweeps and complexity tables ask for the same few budgets once per seed
-@functools.lru_cache(maxsize=256)
 def budget_ceil(numerator: int, epsilon: float, delta: float) -> int:
     """ceil(numerator / (epsilon^2 delta)) in exact integers.
 

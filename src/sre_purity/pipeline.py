@@ -47,10 +47,9 @@ class EstimationRequest:
 class EstimateReport:
     """Result of one estimation run.
 
-    For swap-test runs copies_used = 2 alpha shots_used; the direct
-    estimators in bench fill these fields with their own accounting.
-    a_hat = d * gamma_hat always, and estimates are reported raw (clipping
-    would bias small values; consumers get stderr instead).
+    copies_used = 2 alpha shots_used and a_hat = d * gamma_hat always, and
+    estimates are reported raw (clipping would bias small values; consumers
+    get stderr instead).
     """
 
     gamma_hat: float

@@ -6,6 +6,11 @@ factor occupies the most-significant bits.  The coherent-preparation layout
 puts the 2n ancilla qubits in the most-significant positions, followed by the
 copy blocks B_1 ... B_alpha in decreasing significance, so CSV/JSON dumps of
 amplitudes are reproducible bit-exactly.
+
+A caller's ``StateVector`` and ``DensityMatrix`` are checked where they enter;
+what the package derives from them (its own states and density matrices,
+Schmidt spectra as plain nonincreasing arrays) is returned unchecked, and
+``verification`` checks the identities it satisfies.
 """
 
 from __future__ import annotations
@@ -99,46 +104,6 @@ def built_density(n: int, mat: np.ndarray) -> DensityMatrix:
     rho = object.__new__(DensityMatrix)
     vars(rho).update(n=n, mat=mat)
     return rho
-
-
-@dataclass(frozen=True)
-class BipartiteSplit:
-    """Disjoint qubit-index sets covering the whole register."""
-
-    subsystem_a: tuple[int, ...]
-    subsystem_b: tuple[int, ...]
-
-    def __post_init__(self):
-        a, b = set(self.subsystem_a), set(self.subsystem_b)
-        if not a or not b:
-            raise ValueError("both sides of the split must be nonempty")
-        if a & b:
-            raise ValueError("split sides overlap")
-        n = len(a) + len(b)
-        if a | b != set(range(n)):
-            raise ValueError("split must cover qubits 0..n-1 exactly")
-
-    @property
-    def n(self) -> int:
-        return len(self.subsystem_a) + len(self.subsystem_b)
-
-
-@dataclass(frozen=True, eq=False)
-class SchmidtSpectrum:
-    """Nonincreasing eigenvalues of a reduced state across a bipartition."""
-
-    lambdas: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        if np.any(lam < -1e-12) or np.any(lam > 1 + 1e-9):
-            raise NormalizationError("Schmidt coefficients outside [0, 1]")
-        if np.any(np.diff(lam) > 1e-12):
-            raise ValueError("Schmidt coefficients must be nonincreasing")
-        if abs(lam.sum() - 1.0) > 1e-9:
-            raise NormalizationError(f"Schmidt coefficients sum to {lam.sum()!r}")
-        lam.setflags(write=False)
-        object.__setattr__(self, "lambdas", lam)
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +317,14 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.vdot(rho.mat, rho.mat).real)
 
 
-def schmidt_spectrum(psi: StateVector, split: BipartiteSplit) -> SchmidtSpectrum:
-    if split.n != psi.n:
-        raise DimensionError(f"split covers {split.n} qubits, state has {psi.n}")
-    m = _split_matrix(psi, split.subsystem_a)
-    svals = np.linalg.svd(m, compute_uv=False)
-    return SchmidtSpectrum(np.sort(svals**2)[::-1])
+def schmidt_spectrum(psi: StateVector, keep) -> np.ndarray:
+    """Nonincreasing eigenvalues of the reduced state on the qubits in ``keep``."""
+    svals = np.linalg.svd(_split_matrix(psi, keep), compute_uv=False)
+    return np.sort(svals**2)[::-1]
 
 
-def renyi_entanglement(spectrum: SchmidtSpectrum, beta: float) -> float:
+def renyi_entanglement(spectrum: np.ndarray, beta: float) -> float:
+    """Renyi-beta entropy of a Schmidt spectrum (``schmidt_spectrum``)."""
     if beta <= 0 or beta == 1:
         raise ValueError("beta must be positive and different from 1")
-    return math.log(float(np.sum(spectrum.lambdas**beta))) / (1.0 - beta)
+    return math.log(float(np.sum(spectrum**beta))) / (1.0 - beta)

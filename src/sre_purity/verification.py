@@ -76,7 +76,7 @@ def check_normalization() -> CheckResult:
     worst = 0.0
     for n in (1, 2, 3):
         for _ in range(100):
-            probs = characteristic_distribution(haar_random_state(n, rng)).probs
+            probs = characteristic_distribution(haar_random_state(n, rng))
             worst = max(worst, abs(float(probs.sum()) - 1.0), -float(probs.min()))
     return _result("characteristic distribution normalization", worst, 1e-10)
 

@@ -177,7 +177,7 @@ def test_criterion_10_direct_estimator_comparisons():
     e = pauli_expectations(psi)
     rng = np.random.default_rng(1001)
     gamma_vals = np.array(
-        [direct_gamma_estimate(e, 2, 250, rng).a_hat for _ in range(1000)]
+        [direct_gamma_estimate(e, 2, 250, rng)[0] for _ in range(1000)]
     )
     gamma_se = gamma_vals.std(ddof=1) / math.sqrt(len(gamma_vals))
     gamma_dev = abs(gamma_vals.mean() - exact)
@@ -186,7 +186,7 @@ def test_criterion_10_direct_estimator_comparisons():
         [
             direct_single_copy_estimate(
                 e, 2, 0.05, 0.1, rng, shots_per_string=40_000
-            ).a_hat
+            )[0]
             for _ in range(1000)
         ]
     )
@@ -209,11 +209,10 @@ def test_criterion_10_direct_estimator_comparisons():
             )
         )
         swap_errs.append(rep_s.a_hat - exact2)
-        rep_d = direct_single_copy_estimate(
+        a_hat_d, single_copies = direct_single_copy_estimate(
             e2, 2, eps, delta, np.random.default_rng(5000 + seed)
         )
-        single_errs.append(rep_d.a_hat - exact2)
-        single_copies = rep_d.copies_used
+        single_errs.append(a_hat_d - exact2)
     swap_rmse = float(np.sqrt(np.mean(np.square(swap_errs))))
     single_rmse = float(np.sqrt(np.mean(np.square(single_errs))))
 

@@ -25,13 +25,7 @@ from sre_purity.errors import SizeGuardError
 from sre_purity.estimation import budget_ceil, copies_required, estimate_purity
 from sre_purity.oracle import a_alpha_exact, pauli_expectations
 from sre_purity.pipeline import EstimationRequest, run_estimation
-from sre_purity.states import (
-    BipartiteSplit,
-    phase_state,
-    renyi_entanglement,
-    schmidt_spectrum,
-    zero_state,
-)
+from sre_purity.states import phase_state, renyi_entanglement, schmidt_spectrum, zero_state
 from sre_purity.channels import PreparationMethod, coherent_prepare
 
 PI4 = math.pi / 4
@@ -96,16 +90,14 @@ def test_entanglement_identity_stabilizer_input():
         assert entanglement_identity_residual(zero_state(1), alpha) < 1e-9
     # stabilizer input: the preparation is maximally entangled, E_2 = ln d
     prepared = coherent_prepare(zero_state(1), 2)
-    split = BipartiteSplit((2, 3), (0, 1))
-    e2 = renyi_entanglement(schmidt_spectrum(prepared, split), 2)
+    e2 = renyi_entanglement(schmidt_spectrum(prepared, (2, 3)), 2)
     assert e2 == pytest.approx(math.log(2), abs=1e-9)
 
 
 def test_entanglement_identity_pi_over_4_value():
     # E_2 = ln d - ln A_2 = ln(8/3) for the pi/4 state at alpha = 2
     prepared = coherent_prepare(phase_state(PI4), 2)
-    split = BipartiteSplit((2, 3), (0, 1))
-    e2 = renyi_entanglement(schmidt_spectrum(prepared, split), 2)
+    e2 = renyi_entanglement(schmidt_spectrum(prepared, (2, 3)), 2)
     assert e2 == pytest.approx(math.log(8 / 3), abs=1e-9)
     assert math.log(8 / 3) == pytest.approx(0.9808292530117262, abs=1e-12)
     assert entanglement_identity_residual(phase_state(PI4), 2) < 1e-9
@@ -173,40 +165,40 @@ def test_sweep_rows_equal_per_seed_runs(method):
 
 def test_direct_gamma_zero_noise_limit():
     e = pauli_expectations(phase_state(PI4))
-    rep = direct_gamma_estimate(e, 2, 2_000_000, np.random.default_rng(3))
-    assert abs(rep.a_hat - 0.75) < 0.005
-    assert rep.copies_used == 4 * 2_000_000 * 4  # d^2 strings, 2 alpha copies each
+    a_hat, copies = direct_gamma_estimate(e, 2, 2_000_000, np.random.default_rng(3))
+    assert abs(a_hat - 0.75) < 0.005
+    assert copies == 4 * 2_000_000 * 4  # d^2 strings, 2 alpha copies each
 
 
 def test_direct_gamma_seeded_run_within_tolerance():
     e = pauli_expectations(phase_state(PI4))
-    rep = direct_gamma_estimate(e, 2, 10_000, np.random.default_rng(12))
-    assert abs(rep.a_hat - 0.75) < 0.05
+    a_hat, _ = direct_gamma_estimate(e, 2, 10_000, np.random.default_rng(12))
+    assert abs(a_hat - 0.75) < 0.05
 
 
 def test_direct_gamma_unbiased():
     e = pauli_expectations(phase_state(PI4))
     rng = np.random.default_rng(21)
-    vals = np.array([direct_gamma_estimate(e, 2, 250, rng).a_hat for _ in range(1000)])
+    vals = np.array([direct_gamma_estimate(e, 2, 250, rng)[0] for _ in range(1000)])
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - 0.75) < 3 * se
 
 
 def test_direct_single_copy_zero_noise_limit():
     e = pauli_expectations(phase_state(PI4))
-    rep = direct_single_copy_estimate(
+    a_hat, _ = direct_single_copy_estimate(
         e, 2, 0.05, 0.1, np.random.default_rng(4), shots_per_string=4_000_000
     )
-    assert abs(rep.a_hat - 0.75) < 0.005
+    assert abs(a_hat - 0.75) < 0.005
 
 
 def test_direct_single_copy_zero_state_small_strings_vanish():
     # for |0> only I and Z carry signal; X and Y contribute O(k^-alpha)
     e = pauli_expectations(zero_state(1))
-    rep = direct_single_copy_estimate(
+    a_hat, _ = direct_single_copy_estimate(
         e, 2, 0.05, 0.1, np.random.default_rng(5), shots_per_string=100_000
     )
-    assert abs(rep.a_hat - 1.0) < 0.01
+    assert abs(a_hat - 1.0) < 0.01
 
 
 def test_direct_single_copy_budget_scaling_in_d():
@@ -215,8 +207,8 @@ def test_direct_single_copy_budget_scaling_in_d():
     copies = {}
     for n in (1, 2):
         e = pauli_expectations(zero_state(n))
-        rep = direct_single_copy_estimate(e, alpha, eps, delta, np.random.default_rng(0))
-        copies[2**n] = rep.copies_used
+        _, copies[2**n] = direct_single_copy_estimate(e, alpha, eps, delta,
+                                                      np.random.default_rng(0))
     exponent = math.log(copies[4] / copies[2]) / math.log(2)
     assert abs(exponent - 4.0) < 0.3
 
@@ -293,11 +285,11 @@ def test_complexity_direct_rows_equal_per_seed_runs():
                     rng = np.random.default_rng(np.random.SeedSequence(ts))
                     if method == "direct_gamma":
                         k = budget_ceil(1, eps, delta)
-                        reps.append(direct_gamma_estimate(e, alpha, k, rng, seed=ts))
+                        reps.append(direct_gamma_estimate(e, alpha, k, rng))
                     else:
-                        reps.append(direct_single_copy_estimate(e, alpha, eps, delta, rng, seed=ts))
-                rmse = float(np.sqrt(np.mean(np.square([r.a_hat - exact for r in reps]))))
-                expected.append((method, alpha, eps, reps[0].copies_used, rmse))
+                        reps.append(direct_single_copy_estimate(e, alpha, eps, delta, rng))
+                rmse = float(np.sqrt(np.mean(np.square([a_hat - exact for a_hat, _ in reps]))))
+                expected.append((method, alpha, eps, reps[0][1], rmse))
     got = [(r.method, r.alpha, r.epsilon_target, r.copies, r.empirical_rmse) for r in rows]
     assert got == expected
 
@@ -307,8 +299,8 @@ def test_direct_gamma_is_finite_at_huge_alpha():
     e = pauli_expectations(haar_random_state(1, np.random.default_rng(1)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = direct_gamma_estimate(e, 10**30, 1000, np.random.default_rng(2))
-    assert math.isfinite(rep.a_hat)
+        a_hat, _ = direct_gamma_estimate(e, 10**30, 1000, np.random.default_rng(2))
+    assert math.isfinite(a_hat)
 
 
 def test_complexity_rmse_scaling_with_copies():

@@ -10,11 +10,13 @@ import warnings
 import numpy as np
 import pytest
 
+import sre_purity.bench as bench
 import sre_purity.cli as cli
 import sre_purity.oracle as oracle
 import sre_purity.verification as verification
 from sre_purity.cli import build_parser, main, parse_state_spec
 from sre_purity.oracle import a_alpha_exact, characteristic_distribution
+from sre_purity.states import built_state
 
 
 def run_cli(args):
@@ -68,14 +70,26 @@ def test_oracle_distribution_evaluates_expectations_once(monkeypatch, capsys):
         calls.append(psi)
         return original(psi)
 
+    # every binding of the function, as the benchmark's tracer counts it
     monkeypatch.setattr(oracle, "pauli_expectations", counted)
+    monkeypatch.setattr(cli, "pauli_expectations", counted)
     assert run_cli(["oracle", "--state", "haar:2:3", "--alpha", "3", "--dist"]) == 0
     assert len(calls) == 1
     monkeypatch.undo()
     payload = json.loads(capsys.readouterr().out)
     psi = parse_state_spec("haar:2:3")
     assert payload["a_alpha"] == a_alpha_exact(psi, 3)
-    assert payload["characteristic_distribution"] == list(characteristic_distribution(psi).probs)
+    assert payload["characteristic_distribution"] == list(characteristic_distribution(psi))
+
+
+@pytest.mark.parametrize("dist", [[], ["--dist"]], ids=["plain", "dist"])
+def test_oracle_refuses_bad_alpha_before_the_expectations(dist, monkeypatch, capsys):
+    calls = []
+    for module in (oracle, cli):
+        monkeypatch.setattr(module, "pauli_expectations", calls.append)
+    assert run_cli(["oracle", "--state", "stab:8", "--alpha", "0"] + dist) == 2
+    assert calls == []
+    assert capsys.readouterr().err == "error: alpha must be >= 1, got 0\n"
 
 
 def test_estimate_accuracy_and_budget_fields(tmp_path):
@@ -137,10 +151,12 @@ def test_large_budget_is_one_draw(capsys):
 
 
 # inputs past the dense guards of the routes: the coherent route's ancilla
-# dimension d^2 = 16384 and the exact mixture's dimension 2^13
+# dimension d^2 = 16384 and 65536 (the latter refused before complexity
+# evaluates the 4^8 Pauli expectations) and the exact mixture's dimension 2^13
 _OVERSIZED_REGISTERS = [
     ["estimate", "--state", "haar:7:1", "--alpha", "2", "--method", "coherent", "--shots", "0"],
     ["sweep", "--method", "exact", "--alphas", "13", "--theta-grid", "0:1:1", "--seeds", "1"],
+    ["complexity", "--state", "haar:8:1", "--alphas", "2", "--seeds", "1"],
 ]
 
 
@@ -157,7 +173,7 @@ _OVERSIZED_REGISTERS = [
             "--eps", "1e-9", "--delta", "1e-9", "--seeds", "1",
         ],
     ],
-    ids=["coherent-n7", "sweep-exact-alpha-13", "exact-alpha-1e5",
+    ids=["coherent-n7", "sweep-exact-alpha-13", "complexity-swap-n8", "exact-alpha-1e5",
          "direct-gamma-shots", "direct-single-copy-shots"],
 )
 def test_oversized_request_refused_with_one_line(args, tmp_path, capsys):
@@ -360,12 +376,36 @@ def test_verify_theorem1_suite_passes(capsys):
     assert "entanglement identity" in capsys.readouterr().out
 
 
-def test_verify_detects_corruption(monkeypatch, capsys):
-    monkeypatch.setattr(
-        verification, "replica_expectation", lambda psi, alpha: -1.0
-    )
-    assert run_cli(["verify", "--suite", "replica"]) == 4
-    assert "[FAIL]" in capsys.readouterr().out
+def _skewed_expectations(monkeypatch):
+    original = oracle.pauli_expectations
+    monkeypatch.setattr(oracle, "pauli_expectations", lambda psi: original(psi) * (1 + 1e-6))
+
+
+def _scaled_register(monkeypatch):
+    original = bench.coherent_prepare
+
+    def scaled(psi, alpha):
+        prepared = original(psi, alpha)
+        return built_state(prepared.n, prepared.amps * (1 + 1e-6))
+
+    monkeypatch.setattr(bench, "coherent_prepare", scaled)
+
+
+@pytest.mark.parametrize(
+    "suite,corrupt",
+    [
+        ("replica", lambda mp: mp.setattr(verification, "replica_expectation", lambda psi, a: -1.0)),
+        # a broken invariant of a derived value is reported, not refused
+        ("normalization", _skewed_expectations),
+        ("theorem1", _scaled_register),
+    ],
+    ids=["replica", "normalization", "theorem1"],
+)
+def test_verify_detects_corruption(suite, corrupt, monkeypatch, capsys):
+    corrupt(monkeypatch)
+    assert run_cli(["verify", "--suite", suite]) == 4
+    captured = capsys.readouterr()
+    assert "[FAIL]" in captured.out and captured.err == ""
 
 
 def test_complexity_csv(tmp_path):

@@ -19,16 +19,14 @@ from sre_purity.clifford import (
     random_clifford_state,
     single_qubit_stabilizer_states,
 )
-from sre_purity.errors import NormalizationError
 from sre_purity.oracle import (
-    CharacteristicDistribution,
-    SreValue,
     a_alpha_exact,
+    a_alpha_of,
     characteristic_distribution,
     closed_form_a,
     is_stabilizer,
     m_alpha_exact,
-    sre_value,
+    pauli_expectations,
 )
 from sre_purity.states import StateVector, phase_state, zero_state
 
@@ -51,13 +49,13 @@ def brute_force_a(amps: np.ndarray, alpha: int) -> float:
 
 
 def test_characteristic_distribution_zero_state():
-    probs = characteristic_distribution(zero_state(1)).probs
+    probs = characteristic_distribution(zero_state(1))
     # (I, X, Z, Y) canonical order: weight on I and Z only
     assert np.abs(probs - np.array([0.5, 0.0, 0.5, 0.0])).max() < 1e-12
 
 
 def test_characteristic_distribution_pi_over_4():
-    probs = characteristic_distribution(phase_state(math.pi / 4)).probs
+    probs = characteristic_distribution(phase_state(math.pi / 4))
     # quoted {1/2, 1/4, 1/4, 0} over (I, X, Y, Z) -> canonical (I, X, Z, Y)
     assert np.abs(probs - np.array([0.5, 0.25, 0.0, 0.25])).max() < 1e-12
 
@@ -66,15 +64,15 @@ def test_characteristic_distribution_pi_over_4():
 def test_characteristic_distribution_normalized(n):
     rng = np.random.default_rng(50 + n)
     for _ in range(20):
-        probs = characteristic_distribution(haar_random_state(n, rng)).probs
+        probs = characteristic_distribution(haar_random_state(n, rng))
         assert abs(probs.sum() - 1.0) < 1e-10
         assert probs.min() > -1e-12
 
 
-def test_characteristic_distribution_rejects_non_finite():
-    for bad in (np.nan, np.inf):
-        with pytest.raises(NormalizationError):
-            CharacteristicDistribution(np.array([0.5, bad, 0.5, 0.0]))
+def test_characteristic_distribution_is_read_only():
+    probs = characteristic_distribution(phase_state(math.pi / 4))
+    with pytest.raises(ValueError):
+        probs[0] = 1.0
 
 
 def test_a_alpha_one_is_unity():
@@ -108,6 +106,17 @@ def test_a_alpha_matches_brute_force_on_haar(n, alpha):
 def test_a_alpha_rejects_alpha_zero():
     with pytest.raises(ValueError):
         a_alpha_exact(zero_state(1), 0)
+    with pytest.raises(ValueError):
+        a_alpha_of(pauli_expectations(zero_state(1)), 0)
+
+
+def test_a_alpha_of_expectations_equals_a_alpha_exact():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        psi = haar_random_state(n, rng)
+        e = pauli_expectations(psi)
+        for alpha in (1, 2, 3, 5):
+            assert a_alpha_of(e, alpha) == a_alpha_exact(psi, alpha)
 
 
 def test_m_alpha_examples():
@@ -185,7 +194,7 @@ def test_exports_insensitive_to_enumeration_order():
     multiset, so any re-enumeration of the strings leaves them unchanged."""
     rng = np.random.default_rng(101)
     psi = haar_random_state(2, rng)
-    probs = characteristic_distribution(psi).probs
+    probs = characteristic_distribution(psi)
     d = psi.dim
     for alpha in (1, 2, 3):
         reference = a_alpha_exact(psi, alpha)
@@ -193,15 +202,3 @@ def test_exports_insensitive_to_enumeration_order():
             shuffled = rng.permutation(probs)
             recomputed = float(d ** (alpha - 1) * np.sum(shuffled**alpha))
             assert recomputed == pytest.approx(reference, abs=1e-12)
-
-
-def test_sre_value_consistency():
-    val = sre_value(phase_state(math.pi / 4), 2)
-    assert val.m_alpha == pytest.approx(math.log(4 / 3), abs=1e-12)
-    with pytest.raises(ValueError):
-        SreValue(2, 0.75, 0.5)  # inconsistent pair
-    nan, inf = float("nan"), float("inf")
-    for a_alpha, m_alpha in [(nan, nan), (nan, None), (inf, None), (0.0, None), (-1.0, None),
-                             (0.75, nan)]:
-        with pytest.raises(ValueError):
-            SreValue(2, a_alpha, m_alpha)

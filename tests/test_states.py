@@ -14,7 +14,6 @@ import pytest
 from sre_purity.errors import DimensionError, NormalizationError, SizeGuardError
 from sre_purity.paulis import pauli_from_index
 from sre_purity.states import (
-    BipartiteSplit,
     DensityMatrix,
     StateVector,
     apply_pauli,
@@ -91,10 +90,10 @@ def test_density_matrix_rejects_bad_inputs():
 
 
 def test_split_validation():
-    with pytest.raises(ValueError):
-        BipartiteSplit((0, 1), ())
-    with pytest.raises(ValueError):
-        BipartiteSplit((0,), (0, 1))
+    # a split keeps a strict nonempty subset of distinct qubits of the state
+    for keep in ((), (0, 1), (0, 0), (2,)):
+        with pytest.raises(DimensionError):
+            schmidt_spectrum(bell_state(), keep)
 
 
 # ---------------------------------------------------------------------------
@@ -179,31 +178,30 @@ def test_purity_equals_eigenvalue_power_sum():
 
 
 def test_schmidt_bell_and_product():
-    spec = schmidt_spectrum(bell_state(), BipartiteSplit((0,), (1,)))
-    assert np.abs(spec.lambdas - 0.5).max() < 1e-12
+    spec = schmidt_spectrum(bell_state(), (0,))
+    assert np.abs(spec - 0.5).max() < 1e-12
     prod = tensor_power(random_state(1, 8), 2)
-    spec = schmidt_spectrum(prod, BipartiteSplit((0,), (1,)))
-    assert spec.lambdas[0] == pytest.approx(1.0, abs=1e-12)
+    spec = schmidt_spectrum(prod, (0,))
+    assert spec[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_schmidt_sides_agree():
     psi = random_state(4, 11)
-    split = BipartiteSplit((0, 2), (1, 3))
-    flipped = BipartiteSplit((1, 3), (0, 2))
-    a = schmidt_spectrum(psi, split).lambdas
-    b = schmidt_spectrum(psi, flipped).lambdas
+    a = schmidt_spectrum(psi, (0, 2))
+    b = schmidt_spectrum(psi, (1, 3))
     assert np.abs(a - b).max() < 1e-10
+    # nonincreasing, and a probability vector
+    assert np.all(np.diff(a) <= 0)
+    assert a.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_renyi_entanglement_values():
-    bell_spec = schmidt_spectrum(bell_state(), BipartiteSplit((0,), (1,)))
+    bell_spec = schmidt_spectrum(bell_state(), (0,))
     assert renyi_entanglement(bell_spec, 2) == pytest.approx(math.log(2), abs=1e-12)
     prod = tensor_power(random_state(1, 9), 2)
-    prod_spec = schmidt_spectrum(prod, BipartiteSplit((0,), (1,)))
+    prod_spec = schmidt_spectrum(prod, (0,))
     assert renyi_entanglement(prod_spec, 2) == pytest.approx(0.0, abs=1e-9)
-    from sre_purity.states import SchmidtSpectrum
-
-    flat = SchmidtSpectrum(np.full(4, 0.25))
+    flat = np.full(4, 0.25)
     assert renyi_entanglement(flat, 2) == pytest.approx(math.log(4), abs=1e-12)
     with pytest.raises(ValueError):
         renyi_entanglement(flat, 1.0)
@@ -211,8 +209,7 @@ def test_renyi_entanglement_values():
 
 def test_renyi_e2_equals_minus_log_purity():
     psi = random_state(3, 13)
-    split = BipartiteSplit((0, 1), (2,))
-    e2 = renyi_entanglement(schmidt_spectrum(psi, split), 2)
+    e2 = renyi_entanglement(schmidt_spectrum(psi, (0, 1)), 2)
     red = reduced_density_matrix(psi, [0, 1])
     assert e2 == pytest.approx(-math.log(purity(red)), abs=1e-10)
 
