@@ -10,12 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import PreparationMethod, coherent_prepare, coherent_purity
+from .channels import PreparationMethod, coherent_prepare
 from .errors import OPERATOR_DIM, SHOTS, check_size
 from .estimation import budget_ceil, check_targets, copies_required
 from .oracle import a_alpha_exact, a_alpha_of, closed_form_a, m_alpha_exact, pauli_expectations
 from .paulis import pauli_from_index
-from .pipeline import EstimationRequest, draw_gamma, route_gamma
+from .pipeline import EstimationRequest, check_coherent_size, draw_gamma, route_gamma
 from .states import StateVector, phase_state, renyi_entanglement, schmidt_spectrum, tensor_power
 
 # ---------------------------------------------------------------------------
@@ -234,13 +234,13 @@ def complexity_table(
 ) -> list[ComplexityRow]:
     """Empirical RMSE of each method at its prescribed budget for the target error.
 
-    swap_purity computes its budget once per (alpha, epsilon) and its route's
-    gamma once per alpha, before anything else, so the route's ancilla guard
-    refuses an oversized state at once; each seed is then one swap-test draw
-    from gamma, exactly as ``run_estimation`` would make.  The state's 4^n
-    Pauli expectations are evaluated once per table: they give every alpha's
-    exact A_alpha and feed both direct estimators, whose shot counts are
-    computed once per (alpha, epsilon).
+    Every target, method and alpha is checked before any work, and the
+    coherent route's ancilla guard refuses an oversized state for swap_purity
+    before the oracle runs.  The state's 4^n Pauli expectations are then
+    evaluated once per table: they give every alpha's exact A_alpha, which is
+    d times the coherent route's gamma, and feed both direct estimators.
+    Each row computes its method's budget once; each seed is then one draw,
+    for swap_purity exactly the one ``run_estimation`` would make.
     """
     known = ("swap_purity", "direct_gamma", "direct_single_copy")
     if n_seeds < 1:
@@ -248,7 +248,7 @@ def complexity_table(
     if min(len(methods), len(alphas), len(epsilons)) == 0:
         raise ValueError("nothing to compute: no methods, alphas or epsilons")
     for epsilon in epsilons:
-        budget_ceil(1, epsilon, delta)  # refuses a non-positive or non-finite target
+        check_targets(epsilon, delta)
     for method in methods:
         if method not in known:
             raise ValueError(f"unknown method {method!r}")
@@ -256,12 +256,8 @@ def complexity_table(
         if alpha < 1:
             raise ValueError(f"alpha must be >= 1, got {alpha}")
     d = state.dim
-    swap = {}
     if "swap_purity" in methods:
-        # the budgets refuse a target outside (0, 1] before the route runs
-        for alpha in alphas:
-            shots = [copies_required(alpha, d, eps, delta).swap_shots for eps in epsilons]
-            swap[alpha] = shots, coherent_purity(state, alpha)
+        check_coherent_size(state)
     expectations = pauli_expectations(state)
     rows = []
     for method in methods:
@@ -272,9 +268,8 @@ def complexity_table(
                 key = (index, int(alpha), ei)
                 seeds = [_task_seed(master_seed, key + (s,)) for s in range(n_seeds)]
                 if method == "swap_purity":
-                    budgets, gamma = swap[alpha]
-                    shots = budgets[ei]
-                    a_hats = [d * draw_gamma(gamma, shots, ts)[0] for ts in seeds]
+                    shots = copies_required(alpha, d, epsilon, delta).swap_shots
+                    a_hats = [d * draw_gamma(exact / d, shots, ts)[0] for ts in seeds]
                     copies = 2 * alpha * shots
                 else:
                     if method == "direct_gamma":

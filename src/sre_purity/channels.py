@@ -7,8 +7,9 @@ d * tr[output^2] = A_alpha.  Three routes read one table R, whose row j is
 
 * ``exact_channel_output`` — the d^2-term mixture R^T R* / d^2;
 * ``coherent_prepare`` — the state of the ancilla circuit (2n ancillas in
-  uniform superposition controlling the string applied to every copy), R / d,
-  whose marginals' purity ``coherent_purity`` reads without building it;
+  uniform superposition controlling the string applied to every copy), R / d;
+  both of its marginals have purity A_alpha/d, which ``pipeline.route_gamma``
+  reads from the oracle and ``verification`` checks on the built register;
 * ``incoherent_sample`` — one uniformly drawn row of R.
   The returned sample deliberately carries no record of which string was
   drawn; estimators may consume it only as an opaque state.
@@ -105,21 +106,6 @@ def ancilla_marginal(psi: StateVector, alpha: int) -> DensityMatrix:
     check_size("density-matrix dimension", d * d, DENSE_DIM)
     images = pauli_images(psi.amps, np.arange(d * d))
     return built_density(2 * n, (images @ images.conj().T) ** alpha / (d * d))
-
-
-def coherent_purity(psi: StateVector, alpha: int) -> float:
-    """sum_ij |G_ij|^{2 alpha} / d^4 for the images' Gram matrix G, the purity of both marginals
-    of ``coherent_prepare``; G is Hermitian, so rows [s, e) skip columns < s, double those >= e."""
-    _check_alpha(alpha)
-    d2 = psi.dim**2
-    check_size("ancilla-marginal dimension", d2, DENSE_DIM)
-    images = pauli_images(psi.amps, np.arange(d2))
-    conj, rows, total = images.conj(), max(1, (1 << 16) // d2), 0.0
-    for s in range(0, d2, rows):
-        g = images[s:s + rows] @ conj[s:].T
-        p = np.minimum(g.real**2 + g.imag**2, 1.0) ** alpha  # |G_ij| <= 1: no overflow
-        total += p[:, :rows].sum() + 2 * p[:, rows:].sum()
-    return float(total) / d2**2
 
 
 def incoherent_sample(psi: StateVector, alpha: int, rng: np.random.Generator) -> StateVector:

@@ -70,7 +70,7 @@ def parse_state_spec(spec: str) -> StateVector:
             return StateVector(n, amps / math.sqrt(norm_sq))
     except SizeGuardError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"bad state spec {spec!r}: {exc}") from exc
     raise ValueError(f"bad state spec {spec!r}: unknown kind {kind!r}")
 

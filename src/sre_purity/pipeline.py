@@ -4,11 +4,12 @@ to an estimate of A_alpha and M_alpha.
 Each method is a route to the exact purity gamma of its prepared state
 (``route_gamma``); a run is then one seeded binomial swap-test draw from
 gamma (``draw_gamma``, which ``estimate_from_gamma`` and the tables in
-``bench`` share).  The coherent preparation is pure, so its copies
-and ancilla marginals have one purity; ``channels.coherent_purity`` reads it
-without building the register, and ``marginal`` only names the register the
-swap test acts on.  M_alpha is derived from the aggregated a_hat with
-``oracle.m_from_a``, never per shot.
+``bench`` share).  The coherent preparation is pure, so its copies and
+ancilla marginals have one purity.  Up to a phase P_i P_j is P_{i xor j}, so
+that purity, sum_ij |<P_i P_j>|^{2 alpha} / d^4, is A_alpha/d: the coherent
+and incoherent routes read the same number from the oracle, and ``marginal``
+only names the register the swap test acts on.  M_alpha is derived from the
+aggregated a_hat with ``oracle.m_from_a``, never per shot.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import PreparationMethod, coherent_purity, exact_channel_output
+from .channels import PreparationMethod, exact_channel_output
+from .errors import DENSE_DIM, check_size
 from .estimation import check_targets, copies_required, estimate_purity
 from .oracle import a_alpha_exact, m_from_a
 from .states import StateVector, purity
@@ -65,22 +67,28 @@ class EstimateReport:
     marginal: str = "copies"
 
 
+def check_coherent_size(psi: StateVector) -> None:
+    """Refuse a state whose coherent preparation has an ancilla marginal past
+    the dense guard, before any of the route's work."""
+    check_size("ancilla-marginal dimension", psi.dim**2, DENSE_DIM)
+
+
 def route_gamma(req: EstimationRequest) -> float:
     """Exact swap-test mean gamma of the request's preparation route.
 
     Each route's shots are iid with P(0) = (1 + gamma)/2, so gamma is all a
-    run needs: the exact mixture gives its purity, the coherent preparation
-    the purity shared by both of its marginals, and the incoherent method
-    A_alpha/d (the mean overlap of two independent draws).
+    run needs: the exact mixture gives its purity; the coherent preparation
+    (the purity shared by both of its marginals) and the incoherent method
+    (the mean overlap of two independent draws) both give A_alpha/d.
     """
     psi, alpha = req.state, req.alpha
     if req.method is PreparationMethod.EXACT_MIXTURE:
         return purity(exact_channel_output(psi, alpha))
     if req.method is PreparationMethod.COHERENT:
-        return coherent_purity(psi, alpha)
-    if req.method is PreparationMethod.INCOHERENT:
-        return a_alpha_exact(psi, alpha) / psi.dim
-    raise ValueError(f"unknown method {req.method!r}")
+        check_coherent_size(psi)
+    elif req.method is not PreparationMethod.INCOHERENT:
+        raise ValueError(f"unknown method {req.method!r}")
+    return a_alpha_exact(psi, alpha) / psi.dim
 
 
 def draw_gamma(gamma: float, shots: int, seed: int) -> tuple[float, float]:

@@ -18,7 +18,6 @@ from sre_purity.channels import (
     ancilla_marginal,
     ancilla_marginal_of,
     coherent_prepare,
-    coherent_purity,
     copies_marginal,
     exact_channel_output,
     incoherent_sample,
@@ -28,6 +27,7 @@ from sre_purity.errors import SizeGuardError
 from sre_purity.estimation import state_overlap
 from sre_purity.oracle import a_alpha_exact
 from sre_purity.paulis import pauli_from_index
+from sre_purity.pipeline import EstimationRequest, route_gamma
 from sre_purity.states import (
     StateVector,
     apply_cnot,
@@ -391,6 +391,7 @@ def test_size_guards():
     with pytest.raises(SizeGuardError):
         coherent_prepare(zero_state(3), 6)  # 24 qubits > pure guard
     with pytest.raises(SizeGuardError):
-        coherent_purity(zero_state(7), 1)  # ancilla dimension 2^14 > dense guard
+        # ancilla dimension 2^14 > dense guard
+        route_gamma(EstimationRequest(zero_state(7), 1, 0.1, 0.1, PreparationMethod.COHERENT, 0))
     with pytest.raises(SizeGuardError):
         exact_channel_output(zero_state(10), 1)  # 2^40 multiply-adds > work guard

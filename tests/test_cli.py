@@ -185,7 +185,7 @@ def test_oversized_request_refused_with_one_line(args, tmp_path, capsys):
 
 
 def test_coherent_marginal_refused_before_it_is_allocated(capsys):
-    # refused before the Pauli images (32 MiB at n=7) or the mixture is allocated
+    # refused before the oracle's 4^n expectations or the mixture is allocated
     for args in _OVERSIZED_REGISTERS:
         tracemalloc.start()
         try:
@@ -266,10 +266,11 @@ def test_complexity_config_error_exits_2(args, capsys):
         ["sweep", "--theta-grid", "0:1:0"],
         ["complexity", "--alphas", ""],
         ["complexity", "--methods", ""],
+        ["complexity", "--methods", "direct_gamma", "--eps", "2", "--seeds", "1"],
     ],
     ids=["sweep-no-seeds", "sweep-no-rows-bad-targets", "sweep-eps-above-1", "theta-inf",
          "sweep-theta-inf", "sweep-no-alphas", "sweep-empty-grid", "complexity-no-alphas",
-         "complexity-no-methods"],
+         "complexity-no-methods", "complexity-direct-eps-above-1"],
 )
 def test_config_error_exits_2_before_any_row(args, tmp_path, capsys):
     out = tmp_path / "report"
@@ -319,6 +320,16 @@ def test_state_file_norm_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps([[1.0, 0.0], [1.0, 0.0]]))
     assert run_cli(["oracle", "--state", f"file:{path}", "--alpha", "2"]) == 2
+
+
+def test_state_file_nested_too_deep_is_one_line(tmp_path, capsys):
+    # the JSON decoder recurses once per bracket and gives up long before 200,000
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    assert run_cli(["oracle", "--state", f"file:{path}", "--alpha", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad state spec") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", [["oracle"], ["estimate", "--method", "incoherent"]])

@@ -15,7 +15,7 @@ from sre_purity.channels import (
     copies_marginal,
 )
 from sre_purity.clifford import haar_random_state
-from sre_purity.errors import DENSE_DIM, PURE_QUBITS
+from sre_purity.errors import DENSE_DIM, PURE_QUBITS, SizeGuardError
 from sre_purity.estimation import swap_test_circuit_p0
 from sre_purity.oracle import a_alpha_exact, closed_form_a
 from sre_purity.paulis import enumerate_paulis
@@ -167,7 +167,8 @@ def test_coherent_gamma_is_the_purity_of_either_marginal(n, alpha):
 
 
 def test_coherent_route_peak_memory():
-    # n = 6, alpha = 3: a 2^24-amplitude register before, now the 4 MiB images
+    # n = 6, alpha = 3: the route reads the oracle's 4^6 expectations and
+    # builds neither the 2^24-amplitude register nor the Pauli images
     psi = haar_random_state(6, np.random.default_rng(63))
     req = _request(state=psi, alpha=3)
     tracemalloc.start()
@@ -181,8 +182,8 @@ def test_coherent_route_peak_memory():
 
 @pytest.mark.parametrize("alpha", [10**5, 10**30])
 def test_coherent_route_is_finite_at_huge_alpha(alpha):
-    # |G_ii| rounds to 1 +- 1e-16, which the power would blow up without the
-    # clip to |G_ij| <= 1; off the diagonal every |G_ij| < 1 for a Haar state
+    # <I> rounds to 1 +- 1e-16, which the power would blow up without the
+    # oracle's clip to |<P>| <= 1; every other |<P>| < 1 for a Haar state
     psi = haar_random_state(1, np.random.default_rng(1))
     assert route_gamma(_request(state=psi, alpha=alpha)) == pytest.approx(0.25, abs=1e-12)
 
@@ -195,6 +196,18 @@ def test_zero_shot_mode_uses_the_selected_route(monkeypatch):
     for method in (PreparationMethod.COHERENT, PreparationMethod.INCOHERENT):
         rep = run_estimation(_request(method=method, shots=0))
         assert rep.a_hat == pytest.approx(0.75, abs=1e-12)
+
+
+def test_coherent_guard_fires_before_the_oracle(monkeypatch):
+    # at n = 7 the oracle's own peak can stay small, so only a refusal that
+    # never reaches it shows the guard comes first
+    def refuse(*args):
+        raise AssertionError("the oracle ran before the ancilla guard")
+
+    monkeypatch.setattr(pipeline, "a_alpha_exact", refuse)
+    psi = haar_random_state(7, np.random.default_rng(1))
+    with pytest.raises(SizeGuardError, match="ancilla-marginal dimension 16384"):
+        route_gamma(_request(state=psi, shots=0))
 
 
 def test_request_validation():
