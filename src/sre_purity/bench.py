@@ -5,17 +5,19 @@ direct estimators used for sample-complexity comparisons.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .channels import PreparationMethod, coherent_prepare
-from .errors import OPERATOR_DIM, SHOTS, check_size
-from .estimation import budget_ceil, check_targets, copies_required
+from .errors import OPERATOR_DIM, SHOTS, TABLE_DRAWS, check_size
+from .estimation import budget_ceil, check_targets, copies_required, estimate_purity
 from .oracle import a_alpha_exact, a_alpha_of, closed_form_a, m_alpha_exact, pauli_expectations
 from .paulis import pauli_from_index
-from .pipeline import EstimationRequest, check_coherent_size, draw_gamma, route_gamma
+from .pipeline import check_coherent_size, route_gammas
 from .states import StateVector, phase_state, renyi_entanglement, schmidt_spectrum, tensor_power
 
 # ---------------------------------------------------------------------------
@@ -103,10 +105,113 @@ class SweepRow:
     within_eps: bool
 
 
-def _task_seed(master_seed: int, key: tuple[int, ...]) -> int:
-    """Counter-based per-task stream derivation (documented, platform-independent)."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=key)
-    return int(ss.generate_state(1, np.uint64)[0])
+# O'Neill's seed_seq hash as numpy's SeedSequence runs it: a pool of four
+# 32-bit words, the entropy hashed in and mixed, the state hashed out
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _int_words(value: int) -> list[int]:
+    """The little-endian 32-bit words SeedSequence reads an int as ([0] for 0)."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _pools(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's pool for each row of a uint32 ``entropy`` matrix of at
+    least four columns (shorter entropy is padded with zeros, which hash the
+    same as the pool's unfilled words)."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const  # uint32 arrays wrap mod 2^32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_L - y * _MIX_R
+        return result ^ (result >> 16)
+
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL)]
+    for i_src in range(_POOL):
+        for i_dst in range(_POOL):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_POOL, entropy.shape[1]):
+        for i_dst in range(_POOL):
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[:, i_src]))
+    return np.stack(pool, axis=1)
+
+
+def _generate_state(pool: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence.generate_state(n_words, uint64) for each row's pool."""
+    hash_const = _INIT_B
+    out = np.empty((len(pool), 2 * n_words), np.uint64)
+    for i in range(2 * n_words):
+        value = pool[:, i % _POOL] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        out[:, i] = value ^ (value >> 16)
+    return out[:, 0::2] | out[:, 1::2] << np.uint64(32)
+
+
+class _StateWords(ISeedSequence):
+    """A seed sequence whose generator state is already derived: the four
+    uint64 words ``PCG64`` asks ``generate_state`` for."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _task_streams(master_seed: int, keys, n_seeds: int) -> tuple[np.ndarray, np.ndarray]:
+    """(task seeds, PCG64 words) of the rows ``key + (s,)``, key-major, for
+    every key of ``keys`` and s < n_seeds.
+
+    Row r's task seed is ``SeedSequence(master_seed, spawn_key=key + (s,))``'s
+    first uint64 and its words are ``SeedSequence(task_seed)``'s four, so
+    ``Generator(PCG64(_StateWords(words[r])))`` is
+    ``default_rng(SeedSequence(task_seed))``, the stream ``draw_gamma`` draws
+    from.  Both hashes run once over the table as uint32 array arithmetic;
+    rows are grouped by the word count of their key (an alpha >= 2^32 has
+    more words).  ``n_seeds`` stays below 2^32 (the table guard), so s is
+    one word.
+    """
+    master = _int_words(master_seed)
+    master += [0] * (_POOL - len(master))  # SeedSequence pads the entropy before a spawn key
+    key_words = [[w for part in key for w in _int_words(part)] for key in keys]
+    seeds = np.empty((len(keys), n_seeds), np.uint64)
+    for width in sorted({len(words) for words in key_words}):
+        picked = [i for i, words in enumerate(key_words) if len(words) == width]
+        prefix = np.array([master + key_words[i] for i in picked], np.uint32)
+        counter = np.tile(np.arange(n_seeds, dtype=np.uint32), len(picked))
+        entropy = np.column_stack([np.repeat(prefix, n_seeds, axis=0), counter])
+        seeds[picked] = _generate_state(_pools(entropy), 1).reshape(len(picked), n_seeds)
+    seeds = seeds.reshape(-1)
+    # a task seed's entropy is its low and high words (zeros pad as above)
+    entropy = np.zeros((len(seeds), _POOL), np.uint32)
+    entropy[:, 0] = seeds & _MASK32
+    entropy[:, 1] = seeds >> np.uint64(32)
+    return seeds, _generate_state(_pools(entropy), 4)
+
+
+def _table_rngs(master_seed: int, keys, n_seeds: int):
+    """The generator of every row of ``_task_streams``, in row order."""
+    _, words = _task_streams(master_seed, keys, n_seeds)
+    for row in words:
+        yield np.random.Generator(np.random.PCG64(_StateWords(row)))
 
 
 def sweep_theta(
@@ -120,25 +225,28 @@ def sweep_theta(
 ) -> list[SweepRow]:
     """One estimation run per (theta, alpha, seed) at the full copy budget.
 
-    The budget is computed once per alpha (every theta is one qubit) and the
-    route's gamma once per (theta, alpha); each seed is then one swap-test
-    draw from it, exactly as ``run_estimation`` would make.
+    The table's size is checked before any row.  The budget is computed once
+    per alpha (every theta is one qubit), the route's gamma for every alpha
+    at once per theta (one oracle call), and every row's stream in one pass;
+    each seed is then one swap-test draw, exactly as ``run_estimation`` would
+    make it.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     if min(len(alphas), len(theta_grid)) == 0:
         raise ValueError("nothing to sweep: no alphas or no theta values")
     check_targets(epsilon, delta)
+    check_size("table draws", len(alphas) * len(theta_grid) * n_seeds, TABLE_DRAWS)
+    shots = [copies_required(alpha, 2, epsilon, delta).swap_shots for alpha in alphas]
+    gammas = [route_gammas(phase_state(theta), alphas, method) for theta in theta_grid]
+    keys = [(int(alpha), ti) for alpha in alphas for ti in range(len(theta_grid))]
+    rngs = _table_rngs(master_seed, keys, n_seeds)
     rows = []
-    for alpha in alphas:
-        shots = copies_required(alpha, 2, epsilon, delta).swap_shots
+    for ai, alpha in enumerate(alphas):
         for ti, theta in enumerate(theta_grid):
             exact = closed_form_a(theta, alpha)
-            req = EstimationRequest(phase_state(theta), alpha, epsilon, delta, method, seed=0)
-            gamma = route_gamma(req)
             for s in range(n_seeds):
-                ts = _task_seed(master_seed, (int(alpha), ti, s))
-                a_hat = 2 * draw_gamma(gamma, shots, ts)[0]
+                a_hat = 2 * estimate_purity(gammas[ti][ai], shots[ai], next(rngs))[0]
                 err = abs(a_hat - exact)
                 rows.append(
                     SweepRow(
@@ -147,7 +255,7 @@ def sweep_theta(
                         a_hat=a_hat,
                         a_exact=exact,
                         abs_error=err,
-                        copies_used=2 * alpha * shots,
+                        copies_used=2 * alpha * shots[ai],
                         seed=s,
                         within_eps=bool(err <= epsilon),
                     )
@@ -234,13 +342,15 @@ def complexity_table(
 ) -> list[ComplexityRow]:
     """Empirical RMSE of each method at its prescribed budget for the target error.
 
-    Every target, method and alpha is checked before any work, and the
-    coherent route's ancilla guard refuses an oversized state for swap_purity
-    before the oracle runs.  The state's 4^n Pauli expectations are then
-    evaluated once per table: they give every alpha's exact A_alpha, which is
-    d times the coherent route's gamma, and feed both direct estimators.
-    Each row computes its method's budget once; each seed is then one draw,
-    for swap_purity exactly the one ``run_estimation`` would make.
+    Every target, method and alpha is checked before any work; the coherent
+    route's ancilla guard (for swap_purity) and the table's draw count (d^2
+    per seed for a direct estimator) are checked before the oracle runs.  The
+    state's 4^n Pauli expectations are then evaluated once per table: they
+    give every alpha's exact A_alpha, which is d times the coherent route's
+    gamma, and feed both direct estimators.  Every row's stream is derived in
+    one pass and each row computes its method's budget once; each seed is
+    then one draw, for swap_purity exactly the one ``run_estimation`` would
+    make.
     """
     known = ("swap_purity", "direct_gamma", "direct_single_copy")
     if n_seeds < 1:
@@ -258,35 +368,34 @@ def complexity_table(
     d = state.dim
     if "swap_purity" in methods:
         check_coherent_size(state)
+    per_row = sum(1 if method == "swap_purity" else d * d for method in methods)
+    check_size("table draws", per_row * len(alphas) * len(epsilons) * n_seeds, TABLE_DRAWS)
     expectations = pauli_expectations(state)
+    keys = [(known.index(method), int(alpha), ei)
+            for method in methods for alpha in alphas for ei in range(len(epsilons))]
+    rngs = _table_rngs(master_seed, keys, n_seeds)
     rows = []
     for method in methods:
-        index = known.index(method)
         for alpha in alphas:
             exact = a_alpha_of(expectations, alpha)
-            for ei, epsilon in enumerate(epsilons):
-                key = (index, int(alpha), ei)
-                seeds = [_task_seed(master_seed, key + (s,)) for s in range(n_seeds)]
+            for epsilon in epsilons:
+                row_rngs = itertools.islice(rngs, n_seeds)
                 if method == "swap_purity":
                     shots = copies_required(alpha, d, epsilon, delta).swap_shots
-                    a_hats = [d * draw_gamma(exact / d, shots, ts)[0] for ts in seeds]
+                    a_hats = [d * estimate_purity(exact / d, shots, rng)[0] for rng in row_rngs]
                     copies = 2 * alpha * shots
                 else:
                     if method == "direct_gamma":
                         k = budget_ceil(1, epsilon, delta)
-                        runs = [direct_gamma_estimate(expectations, alpha, k, _rng(ts))
-                                for ts in seeds]
+                        runs = [direct_gamma_estimate(expectations, alpha, k, rng)
+                                for rng in row_rngs]
                     else:
                         k = _single_copy_shots(alpha, d, epsilon, delta)
                         runs = [direct_single_copy_estimate(expectations, alpha, epsilon, delta,
-                                                            _rng(ts), k) for ts in seeds]
+                                                            rng, k) for rng in row_rngs]
                     a_hats = [a_hat for a_hat, _ in runs]
                     copies = runs[0][1]
                 errs = [a_hat - exact for a_hat in a_hats]
                 rmse = float(np.sqrt(np.mean(np.square(errs))))
                 rows.append(ComplexityRow(method, int(alpha), float(epsilon), copies, rmse))
     return rows
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed))

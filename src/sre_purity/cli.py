@@ -29,7 +29,7 @@ from . import __version__
 from .bench import complexity_table, sweep_theta
 from .channels import PreparationMethod
 from .clifford import haar_random_state
-from .errors import SizeGuardError
+from .errors import TABLE_DRAWS, SizeGuardError, check_size
 from .estimation import copies_required
 from .oracle import a_alpha_exact, a_alpha_of, m_from_a, pauli_expectations
 from .paulis import pauli_labels
@@ -78,12 +78,16 @@ def parse_state_spec(spec: str) -> StateVector:
 def _parse_grid(text: str) -> np.ndarray:
     try:
         start, stop, count = text.split(":")
-        ends = float(start), float(stop)
+        ends, points = (float(start), float(stop)), int(count)
         if not all(map(math.isfinite, ends)):
             raise ValueError("non-finite end")  # linspace would warn before phase_state refused it
-        return np.linspace(*ends, int(count))
+        if points < 0:
+            raise ValueError("negative count")
     except ValueError as exc:
         raise ValueError(f"bad grid {text!r}, expected start:stop:count with finite ends") from exc
+    if points > 0:  # an empty grid is refused with the table's other config errors
+        check_size("theta-grid points", points, TABLE_DRAWS)
+    return np.linspace(*ends, points)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -254,8 +258,15 @@ def cmd_complexity(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one ``error:`` line and exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sre-purity",
         description="Stabilizer Renyi entropy estimation via purity encoding",
     )

@@ -27,6 +27,7 @@ DENSE_DIM = 4096  # dimension of a density matrix
 OPERATOR_DIM = 1024  # dimension of an explicit operator matrix
 EXACT_WORK = 2**36  # multiply-adds of the exact mixture, d^2 dim^2
 SHOTS = 2**63 - 1  # shots of one binomial draw (numpy draws int64 counts)
+TABLE_DRAWS = 2**19  # seeded binomial draws of a sweep or complexity table (d^2 per direct seed)
 
 
 def check_size(what: str, value: int, limit: int) -> None:

@@ -2,10 +2,11 @@
 to an estimate of A_alpha and M_alpha.
 
 Each method is a route to the exact purity gamma of its prepared state
-(``route_gamma``); a run is then one seeded binomial swap-test draw from
-gamma (``draw_gamma``, which ``estimate_from_gamma`` and the tables in
-``bench`` share).  The coherent preparation is pure, so its copies and
-ancilla marginals have one purity.  Up to a phase P_i P_j is P_{i xor j}, so
+(``route_gamma``, or ``route_gammas`` for several alphas); a run is then one
+seeded binomial swap-test draw from gamma (``draw_gamma``; the tables in
+``bench`` make the same draw from streams they derive in bulk).  The
+coherent preparation is pure, so its copies and ancilla marginals have one
+purity.  Up to a phase P_i P_j is P_{i xor j}, so
 that purity, sum_ij |<P_i P_j>|^{2 alpha} / d^4, is A_alpha/d: the coherent
 and incoherent routes read the same number from the oracle, and ``marginal``
 only names the register the swap test acts on.  M_alpha is derived from the
@@ -21,7 +22,7 @@ import numpy as np
 from .channels import PreparationMethod, exact_channel_output
 from .errors import DENSE_DIM, check_size
 from .estimation import check_targets, copies_required, estimate_purity
-from .oracle import a_alpha_exact, m_from_a
+from .oracle import a_alpha_of, m_from_a, pauli_expectations
 from .states import StateVector, purity
 
 
@@ -73,22 +74,28 @@ def check_coherent_size(psi: StateVector) -> None:
     check_size("ancilla-marginal dimension", psi.dim**2, DENSE_DIM)
 
 
-def route_gamma(req: EstimationRequest) -> float:
-    """Exact swap-test mean gamma of the request's preparation route.
+def route_gammas(psi: StateVector, alphas, method: PreparationMethod) -> list[float]:
+    """Exact swap-test mean gamma of ``method``'s preparation of ``psi`` at each alpha.
 
     Each route's shots are iid with P(0) = (1 + gamma)/2, so gamma is all a
-    run needs: the exact mixture gives its purity; the coherent preparation
-    (the purity shared by both of its marginals) and the incoherent method
-    (the mean overlap of two independent draws) both give A_alpha/d.
+    run needs: the exact mixture gives its purity, one mixture per alpha; the
+    coherent preparation (the purity shared by both of its marginals) and the
+    incoherent method (the mean overlap of two independent draws) both give
+    A_alpha/d, read for every alpha from one evaluation of the oracle.
     """
-    psi, alpha = req.state, req.alpha
-    if req.method is PreparationMethod.EXACT_MIXTURE:
-        return purity(exact_channel_output(psi, alpha))
-    if req.method is PreparationMethod.COHERENT:
+    if method is PreparationMethod.EXACT_MIXTURE:
+        return [purity(exact_channel_output(psi, alpha)) for alpha in alphas]
+    if method is PreparationMethod.COHERENT:
         check_coherent_size(psi)
-    elif req.method is not PreparationMethod.INCOHERENT:
-        raise ValueError(f"unknown method {req.method!r}")
-    return a_alpha_exact(psi, alpha) / psi.dim
+    elif method is not PreparationMethod.INCOHERENT:
+        raise ValueError(f"unknown method {method!r}")
+    expectations = pauli_expectations(psi)
+    return [a_alpha_of(expectations, alpha) / psi.dim for alpha in alphas]
+
+
+def route_gamma(req: EstimationRequest) -> float:
+    """Exact swap-test mean gamma of the request's preparation route."""
+    return route_gammas(req.state, (req.alpha,), req.method)[0]
 
 
 def draw_gamma(gamma: float, shots: int, seed: int) -> tuple[float, float]:

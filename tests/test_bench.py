@@ -9,8 +9,10 @@ import pytest
 
 import sre_purity.bench as bench
 import sre_purity.oracle as oracle
+import sre_purity.pipeline as pipeline
 from sre_purity.bench import (
-    _task_seed,
+    _StateWords,
+    _task_streams,
     build_gamma,
     complexity_table,
     direct_gamma_estimate,
@@ -29,6 +31,12 @@ from sre_purity.states import phase_state, renyi_entanglement, schmidt_spectrum,
 from sre_purity.channels import PreparationMethod, coherent_prepare
 
 PI4 = math.pi / 4
+
+
+def _task_seed(master_seed, key):
+    """The per-task seed the tables derive, straight from numpy."""
+    ss = np.random.SeedSequence(master_seed, spawn_key=key)
+    return int(ss.generate_state(1, np.uint64)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +119,35 @@ def test_entanglement_identity_haar_states():
 
 
 # ---------------------------------------------------------------------------
+# seeded streams of a table
+
+
+@pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**70])
+def test_task_streams_match_numpy_seed_sequences(master):
+    keys = [(alpha, ti) for alpha in (2, 2**32, 10**30) for ti in (0, 1)]
+    seeds, words = _task_streams(master, keys, 3)
+    row = 0
+    for key in keys:
+        for s in range(3):
+            ts = _task_seed(master, key + (s,))
+            assert int(seeds[row]) == ts
+            expected = np.random.SeedSequence(ts).generate_state(4, np.uint64)
+            assert np.array_equal(words[row], expected)
+            rng = np.random.Generator(np.random.PCG64(_StateWords(words[row])))
+            reference = np.random.default_rng(np.random.SeedSequence(ts))
+            assert rng.binomial(10**6, 0.3) == reference.binomial(10**6, 0.3)
+            row += 1
+
+
+@pytest.mark.parametrize("task_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_task_seed_words_match_numpy_at_every_width(task_seed):
+    # a task seed below 2^32 is one entropy word, which hashes as two
+    entropy = np.array([[task_seed & 0xFFFFFFFF, task_seed >> 32, 0, 0]], np.uint32)
+    words = bench._generate_state(bench._pools(entropy), 4)[0]
+    assert np.array_equal(words, np.random.SeedSequence(task_seed).generate_state(4, np.uint64))
+
+
+# ---------------------------------------------------------------------------
 # sweep
 
 
@@ -157,6 +194,23 @@ def test_sweep_rows_equal_per_seed_runs(method):
                 )
                 expected.append((rep.a_hat, rep.copies_used))
     assert [(r.a_hat, r.copies_used) for r in rows] == expected
+
+
+def test_default_sweep_evaluates_expectations_once_per_angle(monkeypatch):
+    calls = []
+    original = oracle.pauli_expectations
+
+    def counted(psi):
+        calls.append(psi)
+        return original(psi)
+
+    # every binding of the function, as the benchmark's tracer counts it
+    for module in (oracle, bench, pipeline):
+        monkeypatch.setattr(module, "pauli_expectations", counted)
+    grid = np.linspace(0, math.pi / 2, 9)
+    rows = sweep_theta([2, 3, 5, 7], grid, 0.05, 0.1, n_seeds=10)
+    assert len(rows) == 360
+    assert len(calls) == 9
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +314,8 @@ def test_complexity_table_evaluates_expectations_once(monkeypatch):
         return original(psi)
 
     # every binding of the function, as the benchmark's tracer counts it
-    monkeypatch.setattr(oracle, "pauli_expectations", counted)
-    monkeypatch.setattr(bench, "pauli_expectations", counted)
+    for module in (oracle, bench, pipeline):
+        monkeypatch.setattr(module, "pauli_expectations", counted)
     psi = haar_random_state(2, np.random.default_rng(42))
     methods = ["swap_purity", "direct_gamma", "direct_single_copy"]
     complexity_table(methods, [2, 3], [0.1, 0.2], 4, psi, master_seed=3)

@@ -474,3 +474,60 @@ def test_unwritable_output_exit_code(tmp_path):
         "oracle", "--state", "theta:0", "--alpha", "2",
         "--out", str(tmp_path / "nodir" / "x.json"),
     ]) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["estimate", "--state", "haar:1:1", "--alpha", "x"], ["verify", "--suite", "nope"], []],
+    ids=["bad-int", "bad-choice", "no-command"],
+)
+def test_usage_error_is_one_line(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: sre-purity sweep")
+
+
+@pytest.mark.parametrize("command", ["sweep", "complexity"])
+def test_negative_master_seed_is_one_line(command, capsys):
+    assert run_cli([command, "--seeds", "1", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected non-negative integer\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--seeds", "1000000000"],
+        ["complexity", "--seeds", "1000000000"],
+        ["sweep", "--theta-grid", "0:1:300000000"],
+        # d^2 = 4096 draws per direct seed
+        ["complexity", "--state", "haar:6:1", "--methods", "direct_gamma", "--seeds", "300"],
+    ],
+    ids=["sweep-seeds", "complexity-seeds", "sweep-grid", "complexity-direct-draws"],
+)
+def test_oversized_table_refused_at_once(args, tmp_path, capsys):
+    out = tmp_path / "report"
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = run_cli(args + ["--out", str(out)])
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert elapsed < 1.0 and peak < 4 * 2**20, (elapsed, peak)
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("size guard:") and captured.err.count("\n") == 1

@@ -204,7 +204,7 @@ def test_coherent_guard_fires_before_the_oracle(monkeypatch):
     def refuse(*args):
         raise AssertionError("the oracle ran before the ancilla guard")
 
-    monkeypatch.setattr(pipeline, "a_alpha_exact", refuse)
+    monkeypatch.setattr(pipeline, "pauli_expectations", refuse)
     psi = haar_random_state(7, np.random.default_rng(1))
     with pytest.raises(SizeGuardError, match="ancilla-marginal dimension 16384"):
         route_gamma(_request(state=psi, shots=0))
