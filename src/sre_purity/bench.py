@@ -183,8 +183,8 @@ def _task_streams(master_seed: int, keys, n_seeds: int) -> tuple[np.ndarray, np.
     Row r's task seed is ``SeedSequence(master_seed, spawn_key=key + (s,))``'s
     first uint64 and its words are ``SeedSequence(task_seed)``'s four, so
     ``Generator(PCG64(_StateWords(words[r])))`` is
-    ``default_rng(SeedSequence(task_seed))``, the stream ``draw_gamma`` draws
-    from.  Both hashes run once over the table as uint32 array arithmetic;
+    ``default_rng(SeedSequence(task_seed))``, the stream ``run_estimation``
+    draws from.  Both hashes run once over the table as uint32 array arithmetic;
     rows are grouped by the word count of their key (an alpha >= 2^32 has
     more words).  ``n_seeds`` stays below 2^32 (the table guard), so s is
     one word.

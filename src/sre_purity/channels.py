@@ -10,9 +10,8 @@ d * tr[output^2] = A_alpha.  Three routes read one table R, whose row j is
   uniform superposition controlling the string applied to every copy), R / d;
   both of its marginals have purity A_alpha/d, which ``pipeline.route_gamma``
   reads from the oracle and ``verification`` checks on the built register;
-* ``incoherent_sample`` — one uniformly drawn row of R.
-  The returned sample deliberately carries no record of which string was
-  drawn; estimators may consume it only as an opaque state.
+* ``incoherent_sample`` — one uniformly drawn row of R, which the tests
+  compare the incoherent route against; it carries no record of the string.
 """
 
 from __future__ import annotations

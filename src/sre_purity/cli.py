@@ -30,12 +30,11 @@ from .bench import complexity_table, sweep_theta
 from .channels import PreparationMethod
 from .clifford import haar_random_state
 from .errors import TABLE_DRAWS, SizeGuardError, check_size
-from .estimation import copies_required
-from .oracle import a_alpha_exact, a_alpha_of, m_from_a, pauli_expectations
+from .oracle import a_alpha_of, m_from_a, pauli_expectations
 from .paulis import pauli_labels
 from .pipeline import EstimationRequest, run_estimation
 from .states import StateVector, phase_state, zero_state
-from .verification import run_suite
+from .verification import SUITES, run_suite
 
 _METHODS = {
     "exact": PreparationMethod.EXACT_MIXTURE,
@@ -113,17 +112,6 @@ def _meta(config: dict) -> dict:
     }
 
 
-def _sanitize(obj):
-    """NaN is not valid JSON; map it to null (shots=1 runs have no stderr)."""
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
-
-
 def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -133,7 +121,8 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    _write(json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n", out)
+    # a NaN or infinite number is a fault, refused rather than written as invalid JSON
+    _write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n", out)
 
 
 def _emit_table(args, config: dict, header: tuple[str, ...], rows: list[tuple]) -> None:
@@ -163,15 +152,12 @@ def _csv_cell(value) -> str:
 
 def cmd_oracle(args) -> int:
     psi = parse_state_spec(args.state)
-    if args.dist:
-        # one evaluation of the 4^n expectations gives both A_alpha and the
-        # distribution; a bad alpha is refused before it, as a_alpha_exact does
-        if args.alpha < 1:
-            raise ValueError(f"alpha must be >= 1, got {args.alpha}")
-        expectations = pauli_expectations(psi)
-        a_alpha = a_alpha_of(expectations, args.alpha)
-    else:
-        a_alpha = a_alpha_exact(psi, args.alpha)
+    # a bad alpha is refused before the 4^n expectations, which give both
+    # A_alpha and the distribution
+    if args.alpha < 1:
+        raise ValueError(f"alpha must be >= 1, got {args.alpha}")
+    expectations = pauli_expectations(psi)
+    a_alpha = a_alpha_of(expectations, args.alpha)
     payload = {
         "meta": _meta(_config(args)),
         "state": args.state,
@@ -201,11 +187,9 @@ def cmd_estimate(args) -> int:
         shots=args.shots,
     )
     report = run_estimation(req)
-    budget = copies_required(args.alpha, psi.dim, args.eps, args.delta)
     payload = {"meta": _meta(_config(args))}
     payload.update(dataclasses.asdict(report))
     payload["m_defined"] = report.m_hat is not None
-    payload["budget"] = dataclasses.asdict(budget)
     _emit_json(payload, args.out)
     return 0
 
@@ -287,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=sorted(_METHODS), default="coherent")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--marginal", choices=["copies", "ancilla"], default="copies",
-                   help="coherent method: the register the swap test acts on "
-                        "(both give the same purity)")
+                   help="the register the swap test acts on; ancilla needs "
+                        "--method coherent (both give the same purity)")
     p.add_argument("--shots", type=int, default=None,
                    help="override the budget (0 = analytic, no sampling)")
     p.add_argument("--out")
@@ -307,8 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the identity-verification suites")
-    p.add_argument("--suite", default="all",
-                   choices=["all", "theorem1", "replica", "monotone", "twirl", "normalization"])
+    p.add_argument("--suite", default="all", choices=["all", *SUITES])
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("complexity", help="sample-complexity comparison table")

@@ -93,14 +93,14 @@ def state_overlap(a, b) -> float:
     return float(np.vdot(b.amps, a.mat @ b.amps).real)
 
 
-def estimate_purity(gamma: float, shots: int, rng) -> tuple[float, float]:
+def estimate_purity(gamma: float, shots: int, rng) -> tuple[float, float | None]:
     """Swap-test estimate of a purity ``gamma`` from ``shots`` shots, with its
     standard error.
 
     Every shot is 0 with probability (1 + gamma)/2 independently, so the count
     of zeros is one Binomial(shots, (1 + gamma)/2) draw; the estimate is the
     mean of the +/-1-mapped outcomes and the standard error is the sample
-    standard deviation of those outcomes over sqrt(shots).
+    standard deviation of those outcomes over sqrt(shots), None for one shot.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -110,7 +110,7 @@ def estimate_purity(gamma: float, shots: int, rng) -> tuple[float, float]:
     zeros = int(rng.binomial(shots, p0))
     gamma_hat = (2 * zeros - shots) / shots
     if shots == 1:
-        return gamma_hat, float("nan")
+        return gamma_hat, None
     variance = (1.0 - gamma_hat * gamma_hat) * shots / (shots - 1)
     return gamma_hat, math.sqrt(variance / shots)
 

@@ -2,11 +2,11 @@
 
 These are the ground truth every statistical estimator in the package is
 checked against: the characteristic distribution over Pauli strings, the
-moment A_alpha, the entropy M_alpha, the single-qubit closed form, and
-stabilizer-state detection.  Values are returned as plain floats and
-read-only arrays; the identities they satisfy (a normalized distribution,
-the entanglement identity) are checked by ``verification``, which reports a
-broken one instead of refusing to compute it.
+moment A_alpha, the entropy M_alpha and the single-qubit closed form.
+Values are returned as plain floats and read-only arrays; the identities
+they satisfy (a normalized distribution, the entanglement identity) are
+checked by ``verification``, which reports a broken one instead of refusing
+to compute it.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import numpy as np
 
 from .paulis import enumerate_paulis
 from .states import StateVector, pauli_expval
-
-STABILIZER_TOL = 1e-8
 
 
 def m_from_a(a: float, alpha: int) -> float:
@@ -80,12 +78,3 @@ def closed_form_a(theta: float, alpha: int) -> float:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     return 0.5 * (1 + math.cos(theta) ** (2 * alpha) + math.sin(theta) ** (2 * alpha))
 
-
-def is_stabilizer(psi: StateVector) -> bool:
-    """True iff the characteristic distribution is d entries of 1/d, rest 0
-    (each to within STABILIZER_TOL)."""
-    d = psi.dim
-    probs = characteristic_distribution(psi)
-    at_peak = np.abs(probs - 1.0 / d) <= STABILIZER_TOL
-    at_zero = np.abs(probs) <= STABILIZER_TOL
-    return int(at_peak.sum()) == d and int(at_zero.sum()) == d * d - d

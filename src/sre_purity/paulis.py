@@ -44,24 +44,8 @@ class PauliString:
         object.__setattr__(self, "phase_exp", self.phase_exp % 4)
 
     @property
-    def index(self) -> int:
-        """Canonical enumeration index of the underlying string (phase ignored)."""
-        return self.x_bits | (self.z_bits << self.n)
-
-    @property
-    def y_count(self) -> int:
-        return (self.x_bits & self.z_bits).bit_count()
-
-    @property
     def phase(self) -> complex:
         return 1j ** self.phase_exp
-
-    def is_hermitian(self) -> bool:
-        # i**p B is Hermitian iff p and the Y-count have equal parity.
-        return (self.phase_exp - self.y_count) % 2 == 0
-
-    def is_identity(self) -> bool:
-        return self.x_bits == 0 and self.z_bits == 0 and self.phase_exp == 0
 
     def label(self) -> str:
         """Character per qubit, qubit 0 leftmost (phase not shown)."""
@@ -105,16 +89,6 @@ def pauli_labels(n: int) -> list[str]:
     codes = (shifted & 1) | (shifted >> n & 1) << 1
     chars = np.array([ord(c) for c in _PAULI_CHARS], dtype=np.uint32)[codes]
     return chars.view(f"U{n}")[:, 0].tolist()
-
-
-def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
-    """Product a @ b with exact phase tracking; masks combine by XOR."""
-    if a.n != b.n:
-        raise DimensionError(f"qubit counts differ: {a.n} vs {b.n}")
-    # Commuting Z factors of a past X factors of b gives (-1)^{|z_a & x_b|}.
-    swaps = (a.z_bits & b.x_bits).bit_count()
-    phase = (a.phase_exp + b.phase_exp + 2 * swaps) % 4
-    return PauliString(a.n, a.x_bits ^ b.x_bits, a.z_bits ^ b.z_bits, phase)
 
 
 def apply_pauli_amps(p: PauliString, amps: np.ndarray) -> np.ndarray:

@@ -2,15 +2,15 @@
 to an estimate of A_alpha and M_alpha.
 
 Each method is a route to the exact purity gamma of its prepared state
-(``route_gamma``, or ``route_gammas`` for several alphas); a run is then one
-seeded binomial swap-test draw from gamma (``draw_gamma``; the tables in
-``bench`` make the same draw from streams they derive in bulk).  The
-coherent preparation is pure, so its copies and ancilla marginals have one
-purity.  Up to a phase P_i P_j is P_{i xor j}, so
-that purity, sum_ij |<P_i P_j>|^{2 alpha} / d^4, is A_alpha/d: the coherent
-and incoherent routes read the same number from the oracle, and ``marginal``
-only names the register the swap test acts on.  M_alpha is derived from the
-aggregated a_hat with ``oracle.m_from_a``, never per shot.
+(``route_gamma``, or ``route_gammas`` for several alphas); ``run_estimation``
+then makes one seeded binomial swap-test draw from gamma, as the tables in
+``bench`` do from streams they derive in bulk.  The coherent preparation is
+pure, so its copies and ancilla marginals have one purity.  Up to a phase
+P_i P_j is P_{i xor j}, so that purity, sum_ij |<P_i P_j>|^{2 alpha} / d^4,
+is A_alpha/d: the coherent and incoherent routes read the same number from
+the oracle, and ``marginal`` only names the register the coherent route's
+swap test acts on.  M_alpha is derived from the aggregated a_hat with
+``oracle.m_from_a``, never per shot.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .channels import PreparationMethod, exact_channel_output
 from .errors import DENSE_DIM, check_size
-from .estimation import check_targets, copies_required, estimate_purity
+from .estimation import ShotBudget, check_targets, copies_required, estimate_purity
 from .oracle import a_alpha_of, m_from_a, pauli_expectations
 from .states import StateVector, purity
 
@@ -44,6 +44,12 @@ class EstimationRequest:
         check_targets(self.epsilon, self.delta)
         if self.marginal not in ("copies", "ancilla"):
             raise ValueError(f"unknown marginal {self.marginal!r}")
+        if self.marginal == "ancilla" and self.method is not PreparationMethod.COHERENT:
+            raise ValueError(f"only the coherent method has an ancilla marginal, "
+                             f"not {self.method.value}")
+        if self.seed < 0:
+            # the message SeedSequence gives, refused before any route's work
+            raise ValueError("expected non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -52,11 +58,11 @@ class EstimateReport:
 
     copies_used = 2 alpha shots_used and a_hat = d * gamma_hat always, and
     estimates are reported raw (clipping would bias small values; consumers
-    get stderr instead).
+    get stderr instead, None for a single shot).
     """
 
     gamma_hat: float
-    gamma_stderr: float
+    gamma_stderr: float | None
     a_hat: float
     m_hat: float | None
     alpha: int
@@ -64,6 +70,7 @@ class EstimateReport:
     copies_used: int
     seed: int
     method: str
+    budget: ShotBudget
     state_spec: str = ""
     marginal: str = "copies"
 
@@ -87,8 +94,6 @@ def route_gammas(psi: StateVector, alphas, method: PreparationMethod) -> list[fl
         return [purity(exact_channel_output(psi, alpha)) for alpha in alphas]
     if method is PreparationMethod.COHERENT:
         check_coherent_size(psi)
-    elif method is not PreparationMethod.INCOHERENT:
-        raise ValueError(f"unknown method {method!r}")
     expectations = pauli_expectations(psi)
     return [a_alpha_of(expectations, alpha) / psi.dim for alpha in alphas]
 
@@ -98,21 +103,18 @@ def route_gamma(req: EstimationRequest) -> float:
     return route_gammas(req.state, (req.alpha,), req.method)[0]
 
 
-def draw_gamma(gamma: float, shots: int, seed: int) -> tuple[float, float]:
-    """(gamma_hat, stderr) of ``shots`` swap-test shots on a route of purity
-    ``gamma``, drawn from the stream of ``seed``; 0 shots give gamma itself."""
-    if shots == 0:
-        return gamma, 0.0
-    return estimate_purity(gamma, shots, np.random.default_rng(np.random.SeedSequence(seed)))
-
-
-def estimate_from_gamma(req: EstimationRequest, gamma: float) -> EstimateReport:
-    """The report of ``req`` given its route's gamma: one seeded swap-test draw
-    at the request's shot count, or gamma itself when that count is 0."""
+def run_estimation(req: EstimationRequest) -> EstimateReport:
+    """One seeded swap-test draw at the request's shot count from its route's
+    gamma, or gamma itself when that count is 0."""
+    gamma = route_gamma(req)
     d = req.state.dim
     budget = copies_required(req.alpha, d, req.epsilon, req.delta)
     shots = budget.swap_shots if req.shots is None else req.shots
-    gamma_hat, stderr = draw_gamma(gamma, shots, req.seed)
+    if shots == 0:
+        gamma_hat, stderr = gamma, 0.0
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence(req.seed))
+        gamma_hat, stderr = estimate_purity(gamma, shots, rng)
     a_hat = d * gamma_hat
     m_hat = None
     if req.alpha >= 2 and a_hat > 0:
@@ -127,10 +129,7 @@ def estimate_from_gamma(req: EstimationRequest, gamma: float) -> EstimateReport:
         copies_used=2 * req.alpha * shots,
         seed=req.seed,
         method=req.method.value,
+        budget=budget,
         state_spec=req.state_spec,
         marginal=req.marginal,
     )
-
-
-def run_estimation(req: EstimationRequest) -> EstimateReport:
-    return estimate_from_gamma(req, route_gamma(req))

@@ -190,19 +190,16 @@ def apply_cnot(psi: StateVector, control: int, target: int) -> StateVector:
     return built_state(psi.n, out)
 
 
-def controlled_pauli_power(
-    psi: StateVector, ancilla, blocks
-) -> StateVector:
+def controlled_pauli_power(psi: StateVector, ancilla, blocks) -> StateVector:
     """Apply P_j^{(x) alpha} to the blocks, conditioned on ancilla value j.
 
     The gate-level reference for the closed form in ``channels.coherent_prepare``.
     ``ancilla`` lists the 2n qubits holding the Pauli index (bit a of j lives
     on ancilla[a]; the low n bits are the x-mask, the high n bits the z-mask).
     ``blocks`` lists alpha disjoint groups of n qubits; every group receives
-    the same string.  Never materialized as a dense matrix: three tables over
-    the 4^n ancilla values give the string's x-mask and z-mask on the whole
-    register and its phase, and one gather of them at each amplitude's
-    ancilla value drives a single phased, signed scatter.
+    the same string.  Written string by string, never as a dense matrix: for
+    each ancilla value j, one masked, phased permutation of the amplitudes
+    whose ancilla holds j.
     """
     blocks = [tuple(b) for b in blocks]
     ancilla = tuple(ancilla)
@@ -217,45 +214,23 @@ def controlled_pauli_power(
     if any(not 0 <= q < psi.n for q in used):
         raise DimensionError("qubit index out of range")
 
-    # tables over ancilla values j: the string's x- and z-mask on the whole
-    # register, and 2k for its phase i^k on all alpha blocks
-    itype = np.int32 if psi.n < 31 else np.int64
-    j = np.arange(4**n_sub, dtype=itype)
-    x_sub, z_sub = j & ((1 << n_sub) - 1), j >> n_sub
-    x_tab, z_tab = np.zeros_like(j), np.zeros_like(j)
-    for block in blocks:
-        for q_sub, q in enumerate(block):
-            x_tab |= ((x_sub >> q_sub) & 1) << q
-            z_tab |= ((z_sub >> q_sub) & 1) << q
-    k2_tab = 2 * ((len(blocks) * np.bitwise_count(x_sub & z_sub)) % 4)
-    # factor[2k + s] = i^k (-1)^s, formed as the product phase * sign so that
-    # the amplitudes match the string-by-string form bit for bit
-    factor = (np.array([1j**k for k in range(4)])[:, None] * np.array([1.0, -1.0])).ravel()
-
-    idx = np.arange(psi.dim, dtype=itype)
-    anc, bit = np.zeros_like(idx), np.empty_like(idx)
+    idx = np.arange(psi.dim)
+    anc_val = np.zeros(psi.dim, dtype=np.int64)
     for a, q in enumerate(ancilla):
-        np.right_shift(idx, q, out=bit)
-        bit &= 1
-        bit <<= a
-        anc |= bit
-    del bit
-    # sel = 2k + s, with the sign (-1)^s = (-1)^{|i & z|} at the source index i
-    z = np.take(z_tab, anc)
-    z &= idx
-    sel = np.bitwise_count(z)
-    del z
-    sel &= 1
-    sel |= np.take(k2_tab, anc)
-    vals = np.take(factor, sel)
-    del sel
-    vals *= psi.amps
-    dest = np.take(x_tab, anc)
-    del anc
-    dest ^= idx
-    del idx
+        anc_val |= ((idx >> q) & 1) << a
     out = np.empty_like(psi.amps)
-    out[dest] = vals
+    for j in range(4**n_sub):
+        x_sub, z_sub = j & ((1 << n_sub) - 1), j >> n_sub
+        # the string's x- and z-mask on the whole register, repeated on every block
+        x_full = z_full = 0
+        for block in blocks:
+            for q_sub, q in enumerate(block):
+                x_full |= ((x_sub >> q_sub) & 1) << q
+                z_full |= ((z_sub >> q_sub) & 1) << q
+        phase = 1j ** ((len(blocks) * (x_sub & z_sub).bit_count()) % 4)
+        sel = np.flatnonzero(anc_val == j)
+        signs = 1.0 - 2.0 * (np.bitwise_count(sel & z_full) & 1)
+        out[sel ^ x_full] = phase * signs * psi.amps[sel]
     return built_state(psi.n, out)
 
 

@@ -497,12 +497,43 @@ def test_help_still_prints_usage(capsys):
     assert capsys.readouterr().out.startswith("usage: sre-purity sweep")
 
 
-@pytest.mark.parametrize("command", ["sweep", "complexity"])
-def test_negative_master_seed_is_one_line(command, capsys):
-    assert run_cli([command, "--seeds", "1", "--seed", "-1"]) == 2
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--seeds", "1", "--seed", "-1"],
+        ["complexity", "--seeds", "1", "--seed", "-1"],
+        # refused by the request, though --shots 0 draws nothing
+        ["estimate", "--state", "haar:2:1", "--alpha", "2", "--shots", "0", "--seed", "-5"],
+    ],
+    ids=["sweep", "complexity", "estimate"],
+)
+def test_negative_master_seed_is_one_line(args, capsys):
+    assert run_cli(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: expected non-negative integer\n"
+
+
+@pytest.mark.parametrize("method", ["exact", "incoherent"])
+def test_ancilla_marginal_needs_the_coherent_method(method, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_estimation", lambda req: pytest.fail("the route ran"))
+    args = ["estimate", "--state", "haar:1:1", "--alpha", "2", "--method", method,
+            "--marginal", "ancilla"]
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: only the coherent method has an ancilla marginal")
+    assert captured.err.count("\n") == 1
+
+
+def test_nan_in_a_report_is_refused(monkeypatch, tmp_path, capsys):
+    # a NaN-derived number is a fault: one line and exit 2, not invalid JSON
+    monkeypatch.setattr(cli, "a_alpha_of", lambda expectations, alpha: math.nan)
+    out = tmp_path / "report"
+    assert run_cli(["oracle", "--state", "haar:1:1", "--alpha", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from sre_purity.cli import main
+from sre_purity.verification import SUITES
 
 # valid and invalid values are drawn about equally often
 FLOATS = st.sampled_from([1e-4, 0.05, 0.5, 1.0]) | st.sampled_from(
@@ -78,8 +79,7 @@ def cli_argv(draw):
     command = draw(st.sampled_from(["oracle", "estimate", "sweep", "complexity"] * 3
                                    + ["verify"]))
     if command == "verify":
-        suites = ["all", "theorem1", "replica", "monotone", "twirl", "normalization"]
-        return ["verify"] + _flags(draw, {"suite": st.sampled_from(suites)})
+        return ["verify"] + _flags(draw, {"suite": st.sampled_from(["all", *SUITES])})
     if command == "sweep":
         return ["sweep"] + _flags(draw, {
             "alphas": int_lists(ALPHAS), "theta-grid": GRIDS, "eps": FLOATS, "delta": FLOATS,

@@ -1,8 +1,8 @@
 """Pauli-string algebra tests.
 
-The ground truth for products is a dense-matrix oracle built in this file
-from literal 2x2 matrices; the library's symplectic arithmetic is checked
-against it exhaustively for n <= 2.
+The ground truth is a dense-matrix oracle built in this file from literal
+2x2 matrices; the strings' dense forms are checked against it exhaustively
+for n <= 2, and their products against the XOR of the masks.
 """
 
 import itertools
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sre_purity.errors import DimensionError, SizeGuardError
+from sre_purity.errors import SizeGuardError
 from sre_purity.paulis import (
     PauliString,
     apply_pauli_amps,
@@ -21,7 +21,6 @@ from sre_purity.paulis import (
     pauli_from_index,
     pauli_images,
     pauli_labels,
-    pauli_mul,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -53,14 +52,16 @@ def test_enumeration_count_n2():
     strings = enumerate_paulis(2)
     assert len(strings) == 16
     assert len({(p.x_bits, p.z_bits) for p in strings}) == 16
-    assert strings[0].is_identity()
+    assert np.array_equal(strings[0].to_dense(), np.eye(4))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_enumerated_strings_hermitian_involutions(n):
+    eye = np.eye(2**n)
     for p in enumerate_paulis(n):
-        assert p.is_hermitian()
-        assert pauli_mul(p, p).is_identity()
+        dense = p.to_dense()
+        assert np.abs(dense - dense.conj().T).max() < 1e-12
+        assert np.abs(dense @ dense - eye).max() < 1e-12
 
 
 def test_to_dense_matches_literal_oracle():
@@ -69,39 +70,17 @@ def test_to_dense_matches_literal_oracle():
             assert np.abs(p.to_dense() - dense_from_label(p.label())).max() < 1e-12
 
 
-def test_mul_x_times_y_is_i_z():
-    i_, x, z, y = enumerate_paulis(1)
-    prod = pauli_mul(x, y)
-    assert (prod.x_bits, prod.z_bits, prod.phase_exp) == (0, 1, 1)
-
-
-def test_mul_involution():
-    _, x, _, _ = enumerate_paulis(1)
-    assert pauli_mul(x, x).is_identity()
-
-
-def test_mul_two_qubit_example_against_dense_oracle():
-    # X on qubit 0, Z on qubit 1 times Y on qubit 0, Z on qubit 1 -> i * (Z x I)
-    a = PauliString(2, x_bits=0b01, z_bits=0b10)
-    b = PauliString(2, x_bits=0b01, z_bits=0b11, phase_exp=1)
-    prod = pauli_mul(a, b)
-    assert (prod.x_bits, prod.z_bits, prod.phase_exp) == (0b00, 0b01, 1)
-    expected = dense_from_label("XZ") @ dense_from_label("YZ")
-    assert np.abs(expected - 1j * dense_from_label("ZI")).max() < 1e-12
-    assert np.abs(prod.to_dense() - expected).max() < 1e-12
-
-
 @pytest.mark.parametrize("n", [1, 2])
 def test_mul_matches_dense_product_all_pairs(n):
+    # the identity the coherent route relies on: P_a P_b is a unit phase times
+    # the string with masks x_a ^ x_b and z_a ^ z_b
     strings = enumerate_paulis(n)
     for a, b in itertools.product(strings, strings):
         dense = a.to_dense() @ b.to_dense()
-        assert np.abs(pauli_mul(a, b).to_dense() - dense).max() < 1e-12
-
-
-def test_mul_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        pauli_mul(pauli_from_index(1, 1), pauli_from_index(2, 1))
+        base = PauliString(n, a.x_bits ^ b.x_bits, a.z_bits ^ b.z_bits).to_dense()
+        phase = np.trace(base.conj().T @ dense) / 2**n
+        assert min(abs(phase - 1j**k) for k in range(4)) < 1e-12
+        assert np.abs(dense - phase * base).max() < 1e-12
 
 
 def test_size_guard():
@@ -114,7 +93,8 @@ def test_size_guard():
 def test_index_round_trip():
     for n in (1, 2, 3):
         for j in range(4**n):
-            assert pauli_from_index(n, j).index == j
+            p = pauli_from_index(n, j)
+            assert p.x_bits | p.z_bits << n == j
 
 
 # ---------------------------------------------------------------------------
@@ -169,25 +149,6 @@ def test_expval_rejects_non_hermitian_phase():
     skewed = PauliString(1, x_bits=1, z_bits=0, phase_exp=1)
     with pytest.raises(ArithmeticError):
         expval(skewed, plus)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 3), st.data())
-def test_phase_cancellation(n, data):
-    ja = data.draw(st.integers(0, 4**n - 1))
-    jb = data.draw(st.integers(0, 4**n - 1))
-    a, b = pauli_from_index(n, ja), pauli_from_index(n, jb)
-    round_trip = pauli_mul(pauli_mul(a, b), pauli_mul(b, a))
-    assert round_trip.is_identity()
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 3), st.data())
-def test_closure_under_right_multiplication(n, data):
-    jb = data.draw(st.integers(0, 4**n - 1))
-    b = pauli_from_index(n, jb)
-    images = {pauli_mul(a, b).index for a in enumerate_paulis(n)}
-    assert images == set(range(4**n))
 
 
 @settings(max_examples=50, deadline=None)

@@ -91,6 +91,7 @@ def test_negative_a_hat_leaves_m_undefined():
     # single-shot runs return gamma in {-1, +1}; find a -1 outcome
     for seed in range(200):
         rep = run_estimation(_request(method=PreparationMethod.INCOHERENT, shots=1, seed=seed))
+        assert rep.gamma_stderr is None  # one shot has no sample deviation
         if rep.a_hat <= 0:
             assert rep.m_hat is None
             return

@@ -326,27 +326,22 @@ def test_cpp_unitarity_and_guards():
         controlled_pauli_power(full, ancilla=[4, 5, 6, 7], blocks=[[0, 1], [1, 2]])
 
 
-def _cpp_reference(psi: StateVector, ancilla, blocks) -> np.ndarray:
-    """The string-by-string form: one masked phased permutation per ancilla value."""
-    n_sub = len(blocks[0])
-    idx = np.arange(psi.dim)
-    anc_val = np.zeros(psi.dim, dtype=np.int64)
-    for a, q in enumerate(ancilla):
-        anc_val |= ((idx >> q) & 1) << a
-    out = np.empty_like(psi.amps)
+def _cpp_dense(n_qubits, ancilla, blocks) -> np.ndarray:
+    """sum_j |j><j| (x) P_j^{(x) alpha} from the strings' dense matrices, its
+    qubits moved to the layout (the layouts below use every qubit)."""
+    n_sub, alpha = len(blocks[0]), len(blocks)
+    canonical = np.zeros((2**n_qubits,) * 2, dtype=complex)
     for j in range(4**n_sub):
-        x_sub = j & ((1 << n_sub) - 1)
-        z_sub = j >> n_sub
-        x_full = z_full = 0
-        for block in blocks:
-            for q_sub, q in enumerate(block):
-                x_full |= ((x_sub >> q_sub) & 1) << q
-                z_full |= ((z_sub >> q_sub) & 1) << q
-        phase = 1j ** ((len(blocks) * ((x_sub & z_sub).bit_count())) % 4)
-        sel = np.flatnonzero(anc_val == j)
-        signs = 1.0 - 2.0 * (np.bitwise_count(sel & z_full) & 1)
-        out[sel ^ x_full] = phase * signs * psi.amps[sel]
-    return out
+        power = np.eye(1)
+        for _ in range(alpha):
+            power = np.kron(power, pauli_from_index(n_sub, j).to_dense())
+        canonical += np.kron(np.diag(np.eye(4**n_sub)[j]), power)
+    # canonical qubit b*n_sub + q is blocks[b][q], and alpha*n_sub + a is ancilla[a]
+    layout = [q for block in blocks for q in block] + list(ancilla)
+    assert sorted(layout) == list(range(n_qubits))
+    idx = np.arange(2**n_qubits)
+    to_canonical = sum(((idx >> q) & 1) << c for c, q in enumerate(layout))
+    return canonical[np.ix_(to_canonical, to_canonical)]
 
 
 @pytest.mark.parametrize(
@@ -364,7 +359,8 @@ def _cpp_reference(psi: StateVector, ancilla, blocks) -> np.ndarray:
 def test_cpp_matches_string_by_string_reference(n_qubits, ancilla, blocks):
     psi = random_state(n_qubits, 43 + n_qubits)
     out = controlled_pauli_power(psi, ancilla, blocks)
-    assert np.array_equal(out.amps, _cpp_reference(psi, ancilla, blocks))
+    expected = _cpp_dense(n_qubits, ancilla, blocks) @ psi.amps
+    assert np.abs(out.amps - expected).max() < 1e-12
 
 
 def test_apply_pauli_dimension_check():
