@@ -16,6 +16,7 @@ from sre_purity.clifford import (
     apply_circuit,
     haar_random_state,
     random_clifford_circuit,
+    random_clifford_state,
     single_qubit_stabilizer_states,
 )
 from sre_purity.oracle import (
@@ -158,6 +159,16 @@ def test_pi_over_2_state_is_stabilizer():
     assert np.abs(pauli_from_index(1, 3).to_dense() @ psi.amps - psi.amps).max() < 1e-12
     for alpha in (2, 3, 5):
         assert m_alpha_exact(psi, alpha) < 1e-12
+
+
+def test_is_stabilizer_examples():
+    # M_alpha vanishes exactly on stabilizer states (faithfulness), at n = 2 too
+    assert m_alpha_exact(zero_state(1), 2) < 1e-12
+    assert m_alpha_exact(phase_state(math.pi / 4), 2) > 1e-3
+    rng = np.random.default_rng(81)
+    for _ in range(10):
+        assert m_alpha_exact(random_clifford_state(2, rng), 2) < 1e-12
+        assert m_alpha_exact(haar_random_state(2, rng), 2) > 1e-3
 
 
 def test_faithfulness_on_single_qubit_stabilizers():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sre_purity.errors import SizeGuardError
+from sre_purity.errors import DimensionError, SizeGuardError
 from sre_purity.paulis import (
     PauliString,
     apply_pauli_amps,
@@ -70,17 +70,58 @@ def test_to_dense_matches_literal_oracle():
             assert np.abs(p.to_dense() - dense_from_label(p.label())).max() < 1e-12
 
 
+def product_string(a: PauliString, b: PauliString) -> tuple[PauliString, complex]:
+    """The canonical string P with masks x_a ^ x_b, z_a ^ z_b and the c with P_a P_b = c P."""
+    base = pauli_from_index(a.n, (a.x_bits ^ b.x_bits) | (a.z_bits ^ b.z_bits) << a.n)
+    dense = a.to_dense() @ b.to_dense()
+    phase = np.trace(base.to_dense().conj().T @ dense) / 2**a.n
+    assert np.abs(dense - phase * base.to_dense()).max() < 1e-12
+    return base, phase
+
+
+def test_mul_x_times_y_is_i_z():
+    _, x, z, y = enumerate_paulis(1)
+    assert np.abs(x.to_dense() @ y.to_dense() - 1j * z.to_dense()).max() < 1e-12
+    base, phase = product_string(x, y)
+    assert (base.x_bits, base.z_bits) == (z.x_bits, z.z_bits)
+    assert abs(phase - 1j) < 1e-12
+
+
+def test_mul_involution():
+    # X applied twice to an amplitude vector gives the vector back
+    _, x, _, _ = enumerate_paulis(1)
+    amps = np.array([0.6, 0.8j])
+    assert np.abs(apply_pauli_amps(x, apply_pauli_amps(x, amps)) - amps).max() < 1e-15
+
+
+def test_mul_two_qubit_example_against_dense_oracle():
+    # X on qubit 0, Z on qubit 1 times Y on qubit 0, Z on qubit 1 -> i * (Z x I)
+    a = PauliString(2, x_bits=0b01, z_bits=0b10)
+    b = PauliString(2, x_bits=0b01, z_bits=0b11, phase_exp=1)
+    expected = dense_from_label("XZ") @ dense_from_label("YZ")
+    assert np.abs(expected - 1j * dense_from_label("ZI")).max() < 1e-12
+    assert np.abs(a.to_dense() @ b.to_dense() - expected).max() < 1e-12
+    base, phase = product_string(a, b)
+    assert (base.x_bits, base.z_bits) == (0b00, 0b01)
+    assert abs(phase - 1j) < 1e-12
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_mul_matches_dense_product_all_pairs(n):
     # the identity the coherent route relies on: P_a P_b is a unit phase times
     # the string with masks x_a ^ x_b and z_a ^ z_b
     strings = enumerate_paulis(n)
     for a, b in itertools.product(strings, strings):
-        dense = a.to_dense() @ b.to_dense()
-        base = PauliString(n, a.x_bits ^ b.x_bits, a.z_bits ^ b.z_bits).to_dense()
-        phase = np.trace(base.conj().T @ dense) / 2**n
+        _, phase = product_string(a, b)
         assert min(abs(phase - 1j**k) for k in range(4)) < 1e-12
-        assert np.abs(dense - phase * base).max() < 1e-12
+
+
+def test_mul_dimension_mismatch():
+    # a string acts only on an amplitude vector of its own 2^n length
+    with pytest.raises(DimensionError):
+        apply_pauli_amps(pauli_from_index(1, 1), np.ones(4, dtype=complex))
+    with pytest.raises(DimensionError):
+        pauli_images(np.ones(3, dtype=complex), [0])
 
 
 def test_size_guard():
@@ -149,6 +190,33 @@ def test_expval_rejects_non_hermitian_phase():
     skewed = PauliString(1, x_bits=1, z_bits=0, phase_exp=1)
     with pytest.raises(ArithmeticError):
         expval(skewed, plus)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_phase_cancellation(n, data):
+    # P_a P_b = +-P_b P_a, so the phases of the two products multiply to 1
+    ja = data.draw(st.integers(0, 4**n - 1))
+    jb = data.draw(st.integers(0, 4**n - 1))
+    a, b = pauli_from_index(n, ja), pauli_from_index(n, jb)
+    base_ab, phase_ab = product_string(a, b)
+    base_ba, phase_ba = product_string(b, a)
+    assert base_ab == base_ba
+    assert abs(phase_ab * phase_ba - 1) < 1e-12
+    assert min(abs(phase_ab - phase_ba), abs(phase_ab + phase_ba)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_closure_under_right_multiplication(n, data):
+    # right multiplication by P_b permutes the strings up to phase
+    jb = data.draw(st.integers(0, 4**n - 1))
+    b = pauli_from_index(n, jb)
+    images = set()
+    for a in enumerate_paulis(n):
+        base, _ = product_string(a, b)
+        images.add(base.x_bits | base.z_bits << n)
+    assert images == set(range(4**n))
 
 
 @settings(max_examples=50, deadline=None)
