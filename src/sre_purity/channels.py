@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DENSE_DIM, EXACT_WORK, PURE_QUBITS, check_size
 from .paulis import pauli_images
-from .states import DensityMatrix, StateVector, built_density, built_state, reduced_density_matrix
+from .states import DensityMatrix, StateVector, reduced_density_matrix
 
 
 class PreparationMethod(enum.Enum):
@@ -66,7 +66,7 @@ def exact_channel_output(psi: StateVector, alpha: int) -> DensityMatrix:
             out += rows.T @ rows.conj()
     del rows
     out /= d * d
-    return built_density(alpha * n, out)
+    return DensityMatrix(alpha * n, out)
 
 
 def coherent_prepare(psi: StateVector, alpha: int) -> StateVector:
@@ -81,7 +81,7 @@ def coherent_prepare(psi: StateVector, alpha: int) -> StateVector:
     check_size("pure-state qubits", total, PURE_QUBITS)
     amps = _pauli_powers(psi, alpha, np.arange(psi.dim**2))
     amps /= psi.dim
-    return built_state(total, amps.ravel())
+    return StateVector(total, amps.ravel())
 
 
 def copies_marginal(prepared: StateVector, n: int, alpha: int) -> DensityMatrix:
@@ -104,7 +104,7 @@ def ancilla_marginal(psi: StateVector, alpha: int) -> DensityMatrix:
     n, d = psi.n, psi.dim
     check_size("density-matrix dimension", d * d, DENSE_DIM)
     images = pauli_images(psi.amps, np.arange(d * d))
-    return built_density(2 * n, (images @ images.conj().T) ** alpha / (d * d))
+    return DensityMatrix(2 * n, (images @ images.conj().T) ** alpha / (d * d))
 
 
 def incoherent_sample(psi: StateVector, alpha: int, rng: np.random.Generator) -> StateVector:
@@ -112,4 +112,4 @@ def incoherent_sample(psi: StateVector, alpha: int, rng: np.random.Generator) ->
     _check_alpha(alpha)
     check_size("pure-state qubits", alpha * psi.n, PURE_QUBITS)
     j = int(rng.integers(4**psi.n))
-    return built_state(alpha * psi.n, _pauli_powers(psi, alpha, [j])[0])
+    return StateVector(alpha * psi.n, _pauli_powers(psi, alpha, [j])[0])

@@ -29,7 +29,7 @@ from . import __version__
 from .bench import complexity_table, sweep_theta
 from .channels import PreparationMethod
 from .clifford import haar_random_state
-from .errors import TABLE_DRAWS, SizeGuardError, check_size
+from .errors import PURE_QUBITS, TABLE_DRAWS, SizeGuardError, check_size
 from .oracle import a_alpha_of, m_from_a, pauli_expectations
 from .paulis import pauli_labels
 from .pipeline import EstimationRequest, run_estimation
@@ -44,7 +44,13 @@ _METHODS = {
 
 
 def parse_state_spec(spec: str) -> StateVector:
-    """theta:<radians> | haar:<n>:<seed> | stab:<n> | file:<path>."""
+    """theta:<radians> | haar:<n>:<seed> | stab:<n> | file:<path>.
+
+    The one place a state enters the program, and so the one place it is
+    checked: finite amplitudes, 2^n of them for 1 <= n <= PURE_QUBITS, of norm
+    one (a file's within 1e-6, then renormalized).  ``StateVector`` checks
+    nothing.
+    """
     kind, _, rest = spec.partition(":")
     try:
         if kind == "theta":
@@ -66,6 +72,7 @@ def parse_state_spec(spec: str) -> StateVector:
             norm_sq = float(np.vdot(amps, amps).real)
             if abs(norm_sq - 1.0) > 1e-6:
                 raise ValueError(f"amplitudes have norm^2 {norm_sq!r}, not within 1e-6 of 1")
+            check_size("pure-state qubits", n, PURE_QUBITS)
             return StateVector(n, amps / math.sqrt(norm_sq))
     except SizeGuardError:
         raise

@@ -16,10 +16,6 @@ class SizeGuardError(ValueError):
     """A requested object exceeds the configured desk-scale size limits."""
 
 
-class NormalizationError(ValueError):
-    """A state or density matrix violates its normalization invariant."""
-
-
 # The size-guard table.
 PAULI_QUBITS = 12  # qubits of one Pauli string
 PURE_QUBITS = 20  # qubits of a pure state

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -22,25 +23,16 @@ from .errors import PURE_QUBITS, SHOTS, DimensionError, check_size
 from .states import DensityMatrix, StateVector, hadamard_layer
 
 
-def _decimal_ratio(x: float) -> tuple[int, int]:
-    """(numerator, denominator) of the shortest decimal repr of ``x``."""
-    digits, _, exponent = repr(float(x)).partition("e")
-    whole, _, fraction = digits.partition(".")
-    mantissa, shift = int(whole + fraction), int(exponent or 0) - len(fraction)
-    return (mantissa * 10**shift, 1) if shift >= 0 else (mantissa, 10**-shift)
-
-
 def budget_ceil(numerator: int, epsilon: float, delta: float) -> int:
-    """ceil(numerator / (epsilon^2 delta)) in exact integers.
+    """ceil(numerator / (epsilon^2 delta)) in exact rational arithmetic.
 
     Each float is read as its shortest decimal repr, so eps = 0.1 is 1/10 and
     a budget is never off by the float's rounding, however large it is.
     """
     if not (0 < epsilon < math.inf and 0 < delta < math.inf):
         raise ValueError(f"epsilon and delta must be positive and finite, got {epsilon}, {delta}")
-    en, ed = _decimal_ratio(epsilon)
-    dn, dd = _decimal_ratio(delta)
-    return -(-(numerator * ed * ed * dd) // (en * en * dn))
+    eps, dlt = Fraction(repr(float(epsilon))), Fraction(repr(float(delta)))
+    return math.ceil(Fraction(numerator) / (eps * eps * dlt))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import PreparationMethod, exact_channel_output
-from .errors import DENSE_DIM, check_size
+from .errors import DENSE_DIM, SHOTS, check_size
 from .estimation import ShotBudget, check_targets, copies_required, estimate_purity
 from .oracle import a_alpha_of, m_from_a, pauli_expectations
 from .states import StateVector, purity
@@ -50,6 +50,11 @@ class EstimationRequest:
         if self.seed < 0:
             # the message SeedSequence gives, refused before any route's work
             raise ValueError("expected non-negative integer")
+        # the sampler's refusals, made before any route's work; 0 reads gamma itself
+        if self.shots is not None and self.shots < 0:
+            raise ValueError(f"shots must be >= 1, got {self.shots}")
+        if self.shots:
+            check_size("shots", self.shots, SHOTS)
 
 
 @dataclass(frozen=True)

@@ -268,7 +268,8 @@ def test_both_marginals_share_purity():
 
 
 # ---------------------------------------------------------------------------
-# construction-site invariants (these matrices are wrapped unchecked)
+# construction-site invariants (the records check nothing, so each site's
+# output is checked here)
 
 
 @pytest.mark.parametrize(
@@ -298,7 +299,6 @@ def test_construction_sites_build_density_matrices(n, alpha):
 
 @pytest.mark.parametrize("n,alpha", [(1, 1), (1, 3), (2, 2), (3, 2)])
 def test_construction_sites_build_state_vectors(n, alpha):
-    # the package's own vectors skip the norm check, so assert it at each site
     psi = haar_random_state(n, np.random.default_rng(200 * n + alpha))
     pair = haar_random_state(n + 1, np.random.default_rng(201 * n + alpha))
     ancilla = list(range(alpha * n, (alpha + 2) * n))

@@ -16,7 +16,7 @@ import sre_purity.oracle as oracle
 import sre_purity.verification as verification
 from sre_purity.cli import build_parser, main, parse_state_spec
 from sre_purity.oracle import a_alpha_exact, characteristic_distribution
-from sre_purity.states import built_state
+from sre_purity.states import StateVector
 
 
 def run_cli(args):
@@ -148,6 +148,26 @@ def test_large_budget_is_one_draw(capsys):
     assert payload["shots_used"] == payload["budget"]["swap_shots"] == 200_000_000_000
     assert payload["budget"]["copies_of_psi"] == 800_000_000_000
     assert math.isfinite(payload["a_hat"])
+
+
+@pytest.mark.parametrize(
+    "shots,code,err",
+    [("-1", 2, "error: shots must be >= 1, got -1\n"),
+     (str(2**63), 3, f"size guard: shots {2**63} is outside the size guard [1, {2**63 - 1}]\n")],
+    ids=["negative", "beyond-int64"],
+)
+def test_bad_shots_refused_before_the_route(shots, code, err, capsys):
+    # the exact route would first build the 1024-dimensional mixture (16 MiB)
+    args = ["estimate", "--state", "haar:2:1", "--alpha", "5", "--method", "exact",
+            "--shots", shots]
+    tracemalloc.start()
+    try:
+        assert run_cli(args) == code
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr() == ("", err)
+    assert peak < 2**20
 
 
 # inputs past the dense guards of the routes: the coherent route's ancilla
@@ -316,12 +336,6 @@ def test_state_file_round_trip(tmp_path):
     assert np.abs(psi.amps - amps).max() < 1e-12
 
 
-def test_state_file_norm_rejected(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps([[1.0, 0.0], [1.0, 0.0]]))
-    assert run_cli(["oracle", "--state", f"file:{path}", "--alpha", "2"]) == 2
-
-
 def test_state_file_nested_too_deep_is_one_line(tmp_path, capsys):
     # the JSON decoder recurses once per bracket and gives up long before 200,000
     path = tmp_path / "deep.json"
@@ -332,12 +346,32 @@ def test_state_file_nested_too_deep_is_one_line(tmp_path, capsys):
     assert captured.err.startswith("error: bad state spec") and captured.err.count("\n") == 1
 
 
+# a state enters through parse_state_spec, the one place it is checked
+_MALFORMED_STATE_FILES = {
+    "empty": ("[]", 2),
+    "three-amplitudes": ("[[1, 0], [0, 0], [0, 0]]", 2),
+    "infinite": ("[[Infinity, 0], [0, 0]]", 2),
+    "nan": ("[[NaN, 0], [0, 0]]", 2),
+    "unnormalized": ("[[1.0, 0.0], [1.0, 0.0]]", 2),
+    "zero-qubits": ("[[1, 0]]", 3),
+    # two qubits against a limit of one, standing in for 2^21 amplitudes
+    "past-the-qubit-guard": ("[[0.5, 0], [0.5, 0], [0.5, 0], [0.5, 0]]", 3),
+}
+
+
 @pytest.mark.parametrize("command", [["oracle"], ["estimate", "--method", "incoherent"]])
-def test_state_file_non_finite_rejected(command, tmp_path, capsys):
-    path = tmp_path / "nan.json"
-    path.write_text("[[NaN, 0], [0, 0]]")
-    assert run_cli(command + ["--state", f"file:{path}", "--alpha", "2"]) == 2
-    assert capsys.readouterr().out == ""
+@pytest.mark.parametrize("case", sorted(_MALFORMED_STATE_FILES))
+def test_malformed_state_file_is_one_line(case, command, tmp_path, monkeypatch, capsys):
+    text, code = _MALFORMED_STATE_FILES[case]
+    monkeypatch.setattr(cli, "PURE_QUBITS", 1)
+    path, out = tmp_path / "state.json", tmp_path / "report"
+    path.write_text(text)
+    argv = command + ["--state", f"file:{path}", "--alpha", "2", "--out", str(out)]
+    assert run_cli(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    prefix = "error: bad state spec" if code == 2 else "size guard: pure-state qubits"
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1, captured.err
 
 
 def test_haar_spec_deterministic():
@@ -397,7 +431,7 @@ def _scaled_register(monkeypatch):
 
     def scaled(psi, alpha):
         prepared = original(psi, alpha)
-        return built_state(prepared.n, prepared.amps * (1 + 1e-6))
+        return StateVector(prepared.n, prepared.amps * (1 + 1e-6))
 
     monkeypatch.setattr(bench, "coherent_prepare", scaled)
 
