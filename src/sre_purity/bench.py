@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -93,8 +93,9 @@ def entanglement_identity_residual(psi: StateVector, alpha: int) -> float:
 # single-qubit accuracy sweep
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One row of the sweep table, its fields in the table's column order."""
+
     theta: float
     alpha: int
     a_hat: float
@@ -243,23 +244,16 @@ def sweep_theta(
     rngs = _table_rngs(master_seed, keys, n_seeds)
     rows = []
     for ai, alpha in enumerate(alphas):
+        alpha, shot_count = int(alpha), shots[ai]
+        copies = 2 * alpha * shot_count
         for ti, theta in enumerate(theta_grid):
+            theta = float(theta)
             exact = closed_form_a(theta, alpha)
+            gamma = gammas[ti][ai]
             for s in range(n_seeds):
-                a_hat = 2 * estimate_purity(gammas[ti][ai], shots[ai], next(rngs))[0]
+                a_hat = 2 * estimate_purity(gamma, shot_count, next(rngs))[0]
                 err = abs(a_hat - exact)
-                rows.append(
-                    SweepRow(
-                        theta=float(theta),
-                        alpha=int(alpha),
-                        a_hat=a_hat,
-                        a_exact=exact,
-                        abs_error=err,
-                        copies_used=2 * alpha * shots[ai],
-                        seed=s,
-                        within_eps=bool(err <= epsilon),
-                    )
-                )
+                rows.append(SweepRow(theta, alpha, a_hat, exact, err, copies, s, err <= epsilon))
     return rows
 
 
@@ -322,8 +316,9 @@ def direct_single_copy_estimate(
 # sample-complexity table
 
 
-@dataclass(frozen=True)
-class ComplexityRow:
+class ComplexityRow(NamedTuple):
+    """One row of the complexity table, its fields in the table's column order."""
+
     method: str
     alpha: int
     epsilon_target: float

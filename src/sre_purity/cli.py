@@ -64,6 +64,8 @@ def parse_state_spec(spec: str) -> StateVector:
             with open(rest) as fh:
                 pairs = json.load(fh)
             amps = np.array([complex(re, im) for re, im in pairs])
+            if len(amps) == 0:
+                raise ValueError("no amplitudes")
             if not np.all(np.isfinite(amps)):
                 raise ValueError("amplitudes must be finite")
             n = int(math.log2(len(amps)))
@@ -119,12 +121,14 @@ def _meta(config: dict) -> dict:
     }
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(text: str | list[str], out: str | None) -> None:
+    """Write ``text``, or its chunks in order, to the file ``out`` or to stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
@@ -132,25 +136,58 @@ def _emit_json(payload: dict, out: str | None) -> None:
     _write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n", out)
 
 
+_BLOCK = 4096  # rows per column pass of _emit_table
+
+
 def _emit_table(args, config: dict, header: tuple[str, ...], rows: list[tuple]) -> None:
-    """Rows of values in ``header`` order, as CSV or, with --format json, as JSON."""
-    if args.format == "json":
-        table = [dict(zip(header, row)) for row in rows]
-        _emit_json({"meta": _meta(config), "rows": table}, args.out)
-        return
-    lines = [f"# tool=sre-purity version={__version__}", f"# config_hash={_config_hash(config)}"]
-    lines += [f"# {key}={config[key]}" for key in sorted(config)]
-    lines.append(",".join(header))
-    lines += [",".join(_csv_cell(value) for value in row) for row in rows]
-    _write("\n".join(lines) + "\n", args.out)
+    """Rows of values in ``header`` order, as CSV or, with --format json, as the
+    bytes of ``json.dumps({"meta": ..., "rows": [dict(zip(header, row)), ...]},
+    sort_keys=True, indent=2)``.
+
+    Each column of a block of rows is formatted in one pass (see
+    ``_column_texts``) and every row fills one template, whose JSON keys are
+    sorted and indented as ``json.dumps`` would.  A NaN or infinite cell is
+    refused in either format.
+    """
+    as_json = args.format == "json"
+    if as_json:
+        meta = json.dumps(_meta(config), sort_keys=True, indent=2, allow_nan=False)
+        head = '{\n  "meta": ' + meta.replace("\n", "\n  ") + ',\n  "rows": ['
+        columns = sorted(range(len(header)), key=header.__getitem__)
+        fields = ",\n".join(f"      {json.dumps(header[c])}: %s" for c in columns)
+        template = "\n    {\n" + fields + "\n    },"
+    else:
+        lines = [f"# tool=sre-purity version={__version__}",
+                 f"# config_hash={_config_hash(config)}"]
+        lines += [f"# {key}={config[key]}" for key in sorted(config)]
+        head = "\n".join(lines) + "\n" + ",".join(header) + "\n"
+        columns = range(len(header))
+        template = ",".join(["%s"] * len(header)) + "\n"
+    chunks = [head]
+    for start in range(0, len(rows), _BLOCK):
+        block = list(zip(*rows[start:start + _BLOCK]))
+        cells = [_column_texts(header[c], block[c], as_json) for c in columns]
+        chunks.append("".join(map(template.__mod__, zip(*cells))))
+    if as_json and rows:
+        chunks[-1] = chunks[-1][:-1] + "\n  ]\n}\n"  # no comma after the last row
+    elif as_json:
+        chunks.append("]\n}\n")
+    _write(chunks, args.out)
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _column_texts(name: str, values: tuple, as_json: bool) -> list[str] | tuple[str, ...]:
+    """The cell texts of one column's values, all of one type.
+
+    Strings are bare in CSV and quoted in JSON.  Numbers and bools take one
+    ``json.dumps`` of the whole column, whose C encoder writes ``repr`` for an
+    int or float and true/false for a bool, the same text in both formats.
+    """
+    if isinstance(values[0], str):
+        return list(map(json.dumps, values)) if as_json else values
+    try:
+        return json.dumps(values, allow_nan=False)[1:-1].split(", ")
+    except ValueError as exc:  # a NaN or infinite number is a fault, not a cell
+        raise ValueError(f"column {name!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +244,7 @@ def cmd_sweep(args) -> int:
         args.seeds, method=_METHODS[args.method], master_seed=args.seed,
     )
     header = ("theta", "alpha", "estimate", "exact", "abs_error", "copies", "seed", "within_eps")
-    table = [
-        (r.theta, r.alpha, r.a_hat, r.a_exact, r.abs_error, r.copies_used, r.seed, r.within_eps)
-        for r in rows
-    ]
-    _emit_table(args, _config(args), header, table)
+    _emit_table(args, _config(args), header, rows)
     within = sum(r.within_eps for r in rows)
     print(f"sweep: {within}/{len(rows)} points within eps", file=sys.stderr)
     return 0
@@ -240,8 +273,7 @@ def cmd_complexity(args) -> int:
         "d eps^-2 for odd); not simulated"
     )
     header = ("method", "alpha", "epsilon", "copies", "empirical_rmse")
-    table = [(r.method, r.alpha, r.epsilon_target, r.copies, r.empirical_rmse) for r in rows]
-    _emit_table(args, config, header, table)
+    _emit_table(args, config, header, rows)
     return 0
 
 
