@@ -16,7 +16,6 @@ from .channels import PreparationMethod, coherent_prepare
 from .errors import OPERATOR_DIM, SHOTS, TABLE_DRAWS, check_size
 from .estimation import budget_ceil, check_targets, copies_required, estimate_purity
 from .oracle import a_alpha_exact, a_alpha_of, closed_form_a, m_alpha_exact, pauli_expectations
-from .paulis import pauli_from_index
 from .pipeline import check_coherent_size, route_gammas
 from .states import StateVector, phase_state, renyi_entanglement, schmidt_spectrum, tensor_power
 
@@ -26,15 +25,22 @@ from .states import StateVector, phase_state, renyi_entanglement, schmidt_spectr
 
 def build_gamma(alpha: int) -> np.ndarray:
     """Gamma_alpha = (1/2) sum_i Q_i^{(x) 2 alpha} over the four qubit Paulis, as a
-    read-only Hermitian ndarray; <psi^{(x)2a}| Gamma^{(x)n} |psi^{(x)2a}> = A_alpha."""
+    read-only real symmetric ndarray; <psi^{(x)2a}| Gamma^{(x)n} |psi^{(x)2a}> = A_alpha.
+
+    Built from index masks: I and Z^{(x)m} give the diagonal (1 + (-1)^|b|)/2,
+    and X^{(x)m} and Y^{(x)m} = (-1)^alpha (XZ)^{(x)m} the entry
+    (1 + (-1)^(alpha + |b|))/2 at (b xor (2^m - 1), b).
+    """
     if alpha < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     m = 2 * alpha
-    check_size("operator dimension", 1 << m, OPERATOR_DIM)
-    # Q^{(x) m} is the m-qubit string that repeats Q's x and z bits on every qubit
-    ones = (1 << m) - 1
-    powers = [pauli_from_index(m, ones * (j & 1) | (ones << m) * (j >> 1)) for j in range(4)]
-    gamma = sum(p.to_dense() for p in powers) / 2.0
+    dim = 1 << m
+    check_size("operator dimension", dim, OPERATOR_DIM)
+    b = np.arange(dim)
+    even = (np.bitwise_count(b) & 1) == 0
+    gamma = np.zeros((dim, dim))
+    gamma[b, b] = even
+    gamma[b ^ (dim - 1), b] = even if alpha % 2 == 0 else ~even
     gamma.setflags(write=False)
     return gamma
 

@@ -48,8 +48,9 @@ def parse_state_spec(spec: str) -> StateVector:
 
     The one place a state enters the program, and so the one place it is
     checked: finite amplitudes, 2^n of them for 1 <= n <= PURE_QUBITS, of norm
-    one (a file's within 1e-6, then renormalized).  ``StateVector`` checks
-    nothing.
+    one (a file's within 1e-6, then renormalized).  A file is refused before
+    it is decoded when its brackets count 2^(PURE_QUBITS + 1) pairs or more.
+    ``StateVector`` checks nothing.
     """
     kind, _, rest = spec.partition(":")
     try:
@@ -61,8 +62,15 @@ def parse_state_spec(spec: str) -> StateVector:
         if kind == "stab":
             return zero_state(int(rest))
         if kind == "file":
-            with open(rest) as fh:
-                pairs = json.load(fh)
+            with open(rest, "rb") as fh:
+                raw = fh.read()
+            # refused before decoding: the list opens one bracket more than it
+            # holds pairs, and 2^(PURE_QUBITS + 1) pairs are past the qubit guard
+            # whether or not their count is a power of two
+            count = raw.count(b"[") - 1
+            if count >= 2 << PURE_QUBITS:
+                check_size("pure-state qubits", count.bit_length() - 1, PURE_QUBITS)
+            pairs = json.loads(raw)
             amps = np.array([complex(re, im) for re, im in pairs])
             if len(amps) == 0:
                 raise ValueError("no amplitudes")

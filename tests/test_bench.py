@@ -2,6 +2,7 @@
 accuracy sweep, and the direct-estimation baselines."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,10 +23,12 @@ from sre_purity.bench import (
     sweep_theta,
     entanglement_identity_residual,
 )
+from sre_purity.cli import main
 from sre_purity.clifford import haar_random_state
 from sre_purity.errors import SizeGuardError
 from sre_purity.estimation import budget_ceil, copies_required, estimate_purity
 from sre_purity.oracle import a_alpha_exact, pauli_expectations
+from sre_purity.paulis import pauli_from_index
 from sre_purity.pipeline import EstimationRequest, run_estimation
 from sre_purity.states import phase_state, renyi_entanglement, schmidt_spectrum, zero_state
 from sre_purity.channels import PreparationMethod, coherent_prepare
@@ -49,8 +52,19 @@ def test_gamma_one_is_swap():
     assert np.abs(build_gamma(1) - swap).max() == 0.0
     for alpha in range(1, 6):
         gamma = build_gamma(alpha)
+        assert gamma.dtype == np.float64
         assert not gamma.flags.writeable
-        assert np.array_equal(gamma, gamma.conj().T)
+        assert np.array_equal(gamma, gamma.T)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 4, 5])
+def test_gamma_is_the_sum_of_the_four_pauli_powers(alpha):
+    # (1/2) sum_Q Q^{(x)2a}: Q^{(x)m} repeats Q's x and z bits on every qubit
+    m = 2 * alpha
+    ones = (1 << m) - 1
+    powers = [pauli_from_index(m, ones * (j & 1) | (ones << m) * (j >> 1)) for j in range(4)]
+    expected = sum(p.to_dense() for p in powers) / 2.0
+    assert np.array_equal(build_gamma(alpha), expected)
 
 
 def test_gamma_norm_parity():
@@ -60,6 +74,20 @@ def test_gamma_norm_parity():
             assert gamma_tensor_max_abs_eig(alpha, n) == pytest.approx(expected, abs=1e-9)
 
 
+def test_gamma_norms_take_one_spectrum_per_alpha(monkeypatch, capsys):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return eigvalsh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert main(["verify", "--suite", "replica"]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+    assert calls == [(4, 4), (16, 16), (64, 64), (256, 256)]
+
+
 def test_gamma_two_eigenvalue_range():
     eigs = np.linalg.eigvalsh(build_gamma(2))
     assert eigs.min() >= -2 - 1e-9 and eigs.max() <= 2 + 1e-9
@@ -67,8 +95,15 @@ def test_gamma_two_eigenvalue_range():
 
 
 def test_gamma_guard():
-    with pytest.raises(SizeGuardError):
-        build_gamma(6)
+    # Gamma_6 would be a 4096 x 4096 float64 matrix (128 MiB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError):
+            build_gamma(6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_replica_examples():

@@ -346,6 +346,29 @@ def test_state_file_nested_too_deep_is_one_line(tmp_path, capsys):
     assert captured.err.startswith("error: bad state spec") and captured.err.count("\n") == 1
 
 
+def test_state_file_past_the_qubit_guard_is_refused_before_decoding(tmp_path, capsys):
+    # 2^21 compact pairs (12 MiB), whose decoded list and array took about 300 MiB
+    path = tmp_path / "big.json"
+    path.write_text("[[1,0]" + ",[0,0]" * ((1 << 21) - 1) + "]")
+    tracemalloc.start()
+    try:
+        code = run_cli(["oracle", "--state", f"file:{path}", "--alpha", "2"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr() == (
+        "", "size guard: pure-state qubits 21 is outside the size guard [1, 20]\n")
+    assert peak < 3 * path.stat().st_size
+
+
+def test_state_file_at_the_qubit_guard_loads(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text("[[1,0]" + ",[0,0]" * ((1 << 20) - 1) + "]")
+    psi = parse_state_spec(f"file:{path}")
+    assert psi.n == 20 and psi.amps[0] == 1.0
+
+
 # a state enters through parse_state_spec, the one place it is checked
 _MALFORMED_STATE_FILES = {
     "empty": ("[]", 2),
