@@ -13,8 +13,9 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .channels import PreparationMethod, coherent_prepare
-from .errors import OPERATOR_DIM, SHOTS, TABLE_DRAWS, check_size
-from .estimation import budget_ceil, check_targets, copies_required, estimate_purity
+from .errors import (OPERATOR_DIM, SHOTS, TABLE_DRAWS, check_alpha, check_seed, check_size,
+                     check_targets)
+from .estimation import budget_ceil, copies_required, estimate_purity
 from .oracle import a_alpha_exact, a_alpha_of, closed_form_a, m_alpha_exact, pauli_expectations
 from .pipeline import check_coherent_size, route_gammas
 from .states import StateVector, phase_state, renyi_entanglement, schmidt_spectrum, tensor_power
@@ -31,8 +32,6 @@ def build_gamma(alpha: int) -> np.ndarray:
     and X^{(x)m} and Y^{(x)m} = (-1)^alpha (XZ)^{(x)m} the entry
     (1 + (-1)^(alpha + |b|))/2 at (b xor (2^m - 1), b).
     """
-    if alpha < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
     m = 2 * alpha
     dim = 1 << m
     check_size("operator dimension", dim, OPERATOR_DIM)
@@ -123,8 +122,7 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 def _int_words(value: int) -> list[int]:
     """The little-endian 32-bit words SeedSequence reads an int as ([0] for 0)."""
-    if value < 0:
-        raise ValueError("expected non-negative integer")
+    check_seed(value)
     words = [value & _MASK32]
     while value > _MASK32:
         value >>= 32
@@ -244,6 +242,8 @@ def sweep_theta(
         raise ValueError("nothing to sweep: no alphas or no theta values")
     check_targets(epsilon, delta)
     check_size("table draws", len(alphas) * len(theta_grid) * n_seeds, TABLE_DRAWS)
+    for alpha in alphas:
+        check_alpha(alpha)
     shots = [copies_required(alpha, 2, epsilon, delta).swap_shots for alpha in alphas]
     gammas = [route_gammas(phase_state(theta), alphas, method) for theta in theta_grid]
     keys = [(int(alpha), ti) for alpha in alphas for ti in range(len(theta_grid))]
@@ -364,8 +364,7 @@ def complexity_table(
         if method not in known:
             raise ValueError(f"unknown method {method!r}")
     for alpha in alphas:
-        if alpha < 1:
-            raise ValueError(f"alpha must be >= 1, got {alpha}")
+        check_alpha(alpha)
     d = state.dim
     if "swap_purity" in methods:
         check_coherent_size(state)

@@ -31,11 +31,6 @@ class PreparationMethod(enum.Enum):
     INCOHERENT = "incoherent"
 
 
-def _check_alpha(alpha: int) -> None:
-    if not isinstance(alpha, (int, np.integer)) or alpha < 1:
-        raise ValueError(f"alpha must be a positive integer, got {alpha!r}")
-
-
 def _pauli_powers(psi: StateVector, alpha: int, indices) -> np.ndarray:
     """Row k is (P_j psi)^{(x) alpha}, j = indices[k], first factor most significant."""
     images = pauli_images(psi.amps, indices)
@@ -47,7 +42,6 @@ def _pauli_powers(psi: StateVector, alpha: int, indices) -> np.ndarray:
 
 def exact_channel_output(psi: StateVector, alpha: int) -> DensityMatrix:
     """d^{-2} sum_j (P_j psi P_j)^{(x) alpha} as a dense density matrix."""
-    _check_alpha(alpha)
     n, d = psi.n, psi.dim
     # each term is a pure state on alpha n qubits
     check_size("pure-state qubits", alpha * n, PURE_QUBITS)
@@ -76,7 +70,6 @@ def coherent_prepare(psi: StateVector, alpha: int) -> StateVector:
     string carries to |j> (P_j psi)^{(x) alpha}: the table over all d^2 strings
     divided by d, j in the top 2n bits.  ``states.controlled_pauli_power`` is the circuit.
     """
-    _check_alpha(alpha)
     total = (2 + alpha) * psi.n
     check_size("pure-state qubits", total, PURE_QUBITS)
     amps = _pauli_powers(psi, alpha, np.arange(psi.dim**2))
@@ -100,7 +93,6 @@ def ancilla_marginal(psi: StateVector, alpha: int) -> DensityMatrix:
     With T the images P_i psi of all d^2 strings as rows, tr[P_j P_i psi] is
     entry (i, j) of T T^dagger.  Cross-checked in tests against tracing the
     coherent preparation."""
-    _check_alpha(alpha)
     n, d = psi.n, psi.dim
     check_size("density-matrix dimension", d * d, DENSE_DIM)
     images = pauli_images(psi.amps, np.arange(d * d))
@@ -109,7 +101,6 @@ def ancilla_marginal(psi: StateVector, alpha: int) -> DensityMatrix:
 
 def incoherent_sample(psi: StateVector, alpha: int, rng: np.random.Generator) -> StateVector:
     """P_j^{(x)alpha} |psi>^{(x)alpha} for one uniformly drawn string (index forgotten)."""
-    _check_alpha(alpha)
     check_size("pure-state qubits", alpha * psi.n, PURE_QUBITS)
     j = int(rng.integers(4**psi.n))
     return StateVector(alpha * psi.n, _pauli_powers(psi, alpha, [j])[0])

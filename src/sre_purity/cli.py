@@ -29,7 +29,7 @@ from . import __version__
 from .bench import complexity_table, sweep_theta
 from .channels import PreparationMethod
 from .clifford import haar_random_state
-from .errors import PURE_QUBITS, TABLE_DRAWS, SizeGuardError, check_size
+from .errors import PURE_QUBITS, TABLE_DRAWS, SizeGuardError, check_alpha, check_size
 from .oracle import a_alpha_of, m_from_a, pauli_expectations
 from .paulis import pauli_labels
 from .pipeline import EstimationRequest, run_estimation
@@ -204,10 +204,7 @@ def _column_texts(name: str, values: tuple, as_json: bool) -> list[str] | tuple[
 
 def cmd_oracle(args) -> int:
     psi = parse_state_spec(args.state)
-    # a bad alpha is refused before the 4^n expectations, which give both
-    # A_alpha and the distribution
-    if args.alpha < 1:
-        raise ValueError(f"alpha must be >= 1, got {args.alpha}")
+    check_alpha(args.alpha)  # before the 4^n expectations that give A_alpha and the distribution
     expectations = pauli_expectations(psi)
     a_alpha = a_alpha_of(expectations, args.alpha)
     payload = {

@@ -1,10 +1,11 @@
 """Shared exception types, kept separate so the CLI can map them to exit codes,
-and the size-guard table.
+the size-guard table and the argument rules.
 
 Every site that allocates an object whose size grows with the input checks
 the size it is about to allocate against one of the limits below with
 ``check_size`` first, so an oversized request is refused before anything is
-allocated for it.
+allocated for it.  Each argument rule runs where a command takes the argument
+in; downstream, only the copy budget and the sampler call the rule they own.
 """
 
 
@@ -30,3 +31,28 @@ def check_size(what: str, value: int, limit: int) -> None:
     """Refuse ``value`` unless 1 <= value <= limit."""
     if not 1 <= value <= limit:
         raise SizeGuardError(f"{what} {value} is outside the size guard [1, {limit}]")
+
+
+def check_alpha(alpha: int) -> None:
+    """Refuse a Rényi order below 1 (A_alpha is defined for alpha >= 1)."""
+    if alpha < 1:
+        raise ValueError(f"alpha must be >= 1, got {alpha}")
+
+
+def check_targets(epsilon: float, delta: float) -> None:
+    """Refuse an additive error or failure probability outside (0, 1]."""
+    if not 0 < epsilon <= 1 or not 0 < delta <= 1:
+        raise ValueError(f"epsilon and delta must lie in (0, 1], got {epsilon}, {delta}")
+
+
+def check_shots(shots: int) -> None:
+    """Refuse a swap-test shot count below 1 or past one binomial draw."""
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_size("shots", shots, SHOTS)
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a negative seed, with the message numpy's SeedSequence gives."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import PURE_QUBITS, SHOTS, DimensionError, check_size
+from .errors import PURE_QUBITS, DimensionError, check_shots, check_size, check_targets
 from .states import DensityMatrix, StateVector, hadamard_layer
 
 
@@ -29,8 +29,6 @@ def budget_ceil(numerator: int, epsilon: float, delta: float) -> int:
     Each float is read as its shortest decimal repr, so eps = 0.1 is 1/10 and
     a budget is never off by the float's rounding, however large it is.
     """
-    if not (0 < epsilon < math.inf and 0 < delta < math.inf):
-        raise ValueError(f"epsilon and delta must be positive and finite, got {epsilon}, {delta}")
     eps, dlt = Fraction(repr(float(epsilon))), Fraction(repr(float(delta)))
     return math.ceil(Fraction(numerator) / (eps * eps * dlt))
 
@@ -53,17 +51,7 @@ class ShotBudget:
     swap_shots: int
 
 
-def check_targets(epsilon: float, delta: float) -> None:
-    """Refuse an additive error or failure probability outside (0, 1]."""
-    if not 0 < epsilon <= 1 or not 0 < delta <= 1:
-        raise ValueError(f"epsilon and delta must lie in (0, 1], got {epsilon}, {delta}")
-
-
 def copies_required(alpha: int, d: int, epsilon: float, delta: float) -> ShotBudget:
-    if alpha < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
     check_targets(epsilon, delta)
     copies = budget_ceil(alpha * d * d, epsilon, delta)
     shots = -(-copies // (2 * alpha))
@@ -94,12 +82,8 @@ def estimate_purity(gamma: float, shots: int, rng) -> tuple[float, float | None]
     mean of the +/-1-mapped outcomes and the standard error is the sample
     standard deviation of those outcomes over sqrt(shots), None for one shot.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    check_size("shots", shots, SHOTS)
-    # a route's purity may round just above 1
-    p0 = min(max(0.5 * (1.0 + gamma), 0.0), 1.0)
-    zeros = int(rng.binomial(shots, p0))
+    check_shots(shots)
+    zeros = int(rng.binomial(shots, 0.5 * (1.0 + gamma)))
     gamma_hat = (2 * zeros - shots) / shots
     if shots == 1:
         return gamma_hat, None

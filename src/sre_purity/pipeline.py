@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import PreparationMethod, exact_channel_output
-from .errors import DENSE_DIM, SHOTS, check_size
-from .estimation import ShotBudget, check_targets, copies_required, estimate_purity
+from .errors import DENSE_DIM, check_alpha, check_seed, check_shots, check_size, check_targets
+from .estimation import ShotBudget, copies_required, estimate_purity
 from .oracle import a_alpha_of, m_from_a, pauli_expectations
 from .states import StateVector, purity
 
@@ -39,22 +39,15 @@ class EstimationRequest:
     shots: int | None = None  # None: full budget; 0: the route's exact gamma
 
     def __post_init__(self):
-        if self.alpha < 1:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
+        check_alpha(self.alpha)
         check_targets(self.epsilon, self.delta)
-        if self.marginal not in ("copies", "ancilla"):
-            raise ValueError(f"unknown marginal {self.marginal!r}")
         if self.marginal == "ancilla" and self.method is not PreparationMethod.COHERENT:
             raise ValueError(f"only the coherent method has an ancilla marginal, "
                              f"not {self.method.value}")
-        if self.seed < 0:
-            # the message SeedSequence gives, refused before any route's work
-            raise ValueError("expected non-negative integer")
-        # the sampler's refusals, made before any route's work; 0 reads gamma itself
-        if self.shots is not None and self.shots < 0:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
+        # refused before any route's work; 0 shots reads the route's gamma itself
+        check_seed(self.seed)
         if self.shots:
-            check_size("shots", self.shots, SHOTS)
+            check_shots(self.shots)
 
 
 @dataclass(frozen=True)

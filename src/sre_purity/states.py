@@ -107,8 +107,6 @@ def pauli_expval(p: PauliString, psi: StateVector) -> float:
 
 
 def tensor_power(psi: StateVector, alpha: int) -> StateVector:
-    if alpha < 1:
-        raise ValueError("alpha must be a positive integer")
     check_size("pure-state qubits", alpha * psi.n, PURE_QUBITS)
     amps = psi.amps
     for _ in range(alpha - 1):

@@ -433,6 +433,19 @@ def test_sweep_json_format(tmp_path):
     assert payload["meta"]["tool"] == "sre-purity"
 
 
+def test_sweep_error_equal_to_eps_is_within_eps(monkeypatch, capsys):
+    # a drawn purity of 0.625 gives a_hat 1.25 against theta = 0's exact 1.0,
+    # an error of exactly 0.25 (every value here is a binary fraction)
+    monkeypatch.setattr(bench, "estimate_purity", lambda gamma, shots, rng: (0.625, 0.0))
+    argv = ["sweep", "--alphas", "2", "--theta-grid", "0:0:1", "--seeds", "1",
+            "--eps", "0.25", "--format", "json"]
+    assert run_cli(argv) == 0
+    captured = capsys.readouterr()
+    (row,) = json.loads(captured.out)["rows"]
+    assert (row["exact"], row["abs_error"], row["within_eps"]) == (1.0, 0.25, True)
+    assert captured.err == "sweep: 1/1 points within eps\n"
+
+
 def test_verify_suite_passes(capsys):
     assert run_cli(["verify", "--suite", "monotone"]) == 0
     out = capsys.readouterr().out

@@ -103,13 +103,6 @@ def test_a_alpha_matches_brute_force_on_haar(n, alpha):
     )
 
 
-def test_a_alpha_rejects_alpha_zero():
-    with pytest.raises(ValueError):
-        a_alpha_exact(zero_state(1), 0)
-    with pytest.raises(ValueError):
-        a_alpha_of(pauli_expectations(zero_state(1)), 0)
-
-
 def test_a_alpha_of_expectations_equals_a_alpha_exact():
     rng = np.random.default_rng(7)
     for n in (1, 2, 3):

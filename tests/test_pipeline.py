@@ -16,10 +16,16 @@ from sre_purity.channels import (
 )
 from sre_purity.clifford import haar_random_state
 from sre_purity.errors import DENSE_DIM, PURE_QUBITS, SizeGuardError
-from sre_purity.estimation import swap_test_circuit_p0
+from sre_purity.estimation import estimate_purity, swap_test_circuit_p0
 from sre_purity.oracle import a_alpha_exact, closed_form_a
 from sre_purity.paulis import enumerate_paulis
-from sre_purity.pipeline import EstimationRequest, m_from_a, route_gamma, run_estimation
+from sre_purity.pipeline import (
+    EstimationRequest,
+    m_from_a,
+    route_gamma,
+    route_gammas,
+    run_estimation,
+)
 from sre_purity.states import apply_pauli, phase_state, purity, tensor_power, zero_state
 
 PI4 = math.pi / 4
@@ -216,5 +222,21 @@ def test_request_validation():
         _request(alpha=0)
     with pytest.raises(ValueError):
         _request(epsilon=0.0)
+
+
+def test_every_route_gamma_is_a_swap_test_mean():
+    # gamma = A_alpha/d lies in (0, 1/2] for n >= 1, so (1 + gamma)/2 is a
+    # probability without a clip; exact mixtures past the dense guards are skipped
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        psi = haar_random_state(n, rng)
+        for method in PreparationMethod:
+            for alpha in range(1, 8):
+                try:
+                    (gamma,) = route_gammas(psi, (alpha,), method)
+                except SizeGuardError:
+                    continue
+                assert 0 < gamma <= 0.5 + 1e-12, (n, method, alpha, gamma)
+    # a gamma outside [-1, 1] is refused by the binomial draw: exit 2, not a traceback
     with pytest.raises(ValueError):
-        _request(marginal="left")
+        estimate_purity(1.5, 10, np.random.default_rng(0))
